@@ -386,6 +386,31 @@ BENCHMARK(BM_OasisStepBatch)
     ->Args({120, 64})
     ->Args({120, 256});
 
+/// Per-repeat sampler creation through a shared MethodSpec over a 20k pool
+/// at K = range(0): what the runner pays per repeat and the session server
+/// per session. The spec prepares its setup (validation, Algorithm 2) on the
+/// first factory call, made before timing starts, so each timed call is the
+/// O(K) create alone. Items/sec counts samplers created.
+void BM_OasisCreate(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  static BenchPool* pool = new BenchPool(MakePool(20000));
+  static GroundTruthOracle* oracle = new GroundTruthOracle(pool->truth);
+  auto strata = std::make_shared<const Strata>(
+      StratifyCsf(pool->scored.scores, k).ValueOrDie());
+  const experiments::MethodSpec spec =
+      experiments::MakeOasisSpec(OasisOptions{}, strata);
+  LabelCache labels(oracle);
+  OASIS_CHECK_OK(spec.factory(&pool->scored, &labels, Rng(0)).status());
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    auto sampler = spec.factory(&pool->scored, &labels, Rng(seed++));
+    benchmark::DoNotOptimize(sampler.ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["K"] = static_cast<double>(strata->num_strata());
+}
+BENCHMARK(BM_OasisCreate)->Arg(30);
+
 void BM_PassiveStep(benchmark::State& state) {
   static BenchPool* pool = new BenchPool(MakePool(100000));
   GroundTruthOracle oracle(pool->truth);

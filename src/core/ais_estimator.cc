@@ -35,8 +35,10 @@ EstimateSnapshot AisEstimator::Snapshot() const {
 }
 
 double AisEstimator::FAlphaOr(double fallback) const {
-  const EstimateSnapshot snap = Snapshot();
-  return snap.f_defined ? snap.f_alpha : fallback;
+  // Snapshot()'s f_alpha expression alone: every step asks for F-hat, and the
+  // precision and recall divisions are not needed for it.
+  const double denom = alpha_ * den_pred_ + (1.0 - alpha_) * den_true_;
+  return denom > 0.0 ? num_ / denom : fallback;
 }
 
 }  // namespace oasis

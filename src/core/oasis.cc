@@ -1,6 +1,7 @@
 #include "core/oasis.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -36,43 +37,32 @@ inline void RecordOasisStepTelemetry(double weight) {
 
 }  // namespace
 
-OasisSampler::OasisSampler(const ScoredPool* pool, LabelCache* labels,
-                           std::shared_ptr<const Strata> strata,
-                           const OasisOptions& options, Rng rng,
-                           StratifiedBetaModel model, std::vector<double> lambda,
-                           double initial_f)
-    : Sampler(pool, labels, options.alpha, rng),
-      strata_(std::move(strata)),
-      options_(options),
-      model_(std::move(model)),
-      lambda_(std::move(lambda)),
-      initial_f_(initial_f),
-      estimator_(options.alpha),
-      monitor_(options.degeneracy),
-      active_epsilon_(options.epsilon) {
-  const size_t num_strata = strata_->num_strata();
-  v_scratch_.resize(num_strata);
-  // Seed the incremental posterior caches and the per-stratum constants of
-  // the v* formula. (1 - alpha) * (1 - lambda_k) uses the same factor
-  // grouping as OptimalStratifiedInstrumentalInto so the fused scan is
-  // bit-identical to the reference path.
-  pi_cache_ = model_.PosteriorMeans();
-  sqrt_pi_cache_.resize(num_strata);
-  c_not_pred_.resize(num_strata);
-  for (size_t k = 0; k < num_strata; ++k) {
-    sqrt_pi_cache_[k] = std::sqrt(pi_cache_[k]);
-    c_not_pred_[k] = (1.0 - options_.alpha) * (1.0 - lambda_[k]);
+OasisSampler::OasisSampler(std::shared_ptr<const OasisSetup> setup,
+                           LabelCache* labels, Rng rng)
+    : Sampler(setup->pool, labels, setup->options.alpha, rng),
+      setup_(std::move(setup)),
+      strata_(setup_->strata.get()),
+      options_(setup_->options),
+      model_(setup_->prior),
+      estimator_(options_.alpha),
+      monitor_(options_.degeneracy),
+      active_epsilon_(options_.epsilon),
+      v_scratch_(strata_->num_strata()),
+      pi_cache_(setup_->prior_means),
+      sqrt_pi_cache_(setup_->prior_sqrt_means) {
+  if (options_.step_path == OasisStepPath::kFused) {
+    fused_mass_.resize(strata_->num_strata());
+    fused_prefix_.resize(strata_->num_strata());
+    fused_observed_ = strata_->num_strata();
   }
-  alpha_sq_ = options_.alpha * options_.alpha;
 }
 
-Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
-    const ScoredPool* pool, LabelCache* labels,
-    std::shared_ptr<const Strata> strata, const OasisOptions& options, Rng rng) {
-  if (pool == nullptr || labels == nullptr || strata == nullptr) {
-    return Status::InvalidArgument("OasisSampler: null pool/labels/strata");
+Result<std::shared_ptr<const OasisSetup>> OasisSampler::Prepare(
+    const ScoredPool* pool, std::shared_ptr<const Strata> strata,
+    const OasisOptions& options) {
+  if (pool == nullptr || strata == nullptr) {
+    return Status::InvalidArgument("OasisSampler: null pool/strata");
   }
-  OASIS_RETURN_NOT_OK(pool->Validate());
   if (options.alpha < 0.0 || options.alpha > 1.0) {
     return Status::InvalidArgument("OasisSampler: alpha must be in [0, 1]");
   }
@@ -94,29 +84,64 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
     return Status::InvalidArgument(
         "OasisSampler: degraded_epsilon must lie in (0, 1]");
   }
-  if (static_cast<int64_t>(strata->num_items()) != pool->size()) {
-    return Status::InvalidArgument("OasisSampler: strata/pool size mismatch");
+  if (options.step_path == OasisStepPath::kShardedFenwick &&
+      options.num_shards == 0) {
+    return Status::InvalidArgument("OasisSampler: num_shards must be >= 1");
   }
   OASIS_RETURN_NOT_OK(strata->Validate());
 
-  // Algorithm 2: score-derived initial estimates.
+  // Algorithm 2: score-derived initial estimates (also validates the pool
+  // and its size against the strata).
   OASIS_ASSIGN_OR_RETURN(InitialEstimates init,
                          InitializeFromScores(*strata, *pool, options.alpha));
 
   // Sec. 6.3 default: eta = 2K unless the caller fixed a strength.
   OasisOptions resolved = options;
+  const size_t num_strata = strata->num_strata();
   if (resolved.prior_strength <= 0.0) {
-    resolved.prior_strength = 2.0 * static_cast<double>(strata->num_strata());
+    resolved.prior_strength = 2.0 * static_cast<double>(num_strata);
   }
   OASIS_ASSIGN_OR_RETURN(
-      StratifiedBetaModel model,
+      StratifiedBetaModel prior,
       StratifiedBetaModel::Create(init.pi, resolved.prior_strength,
                                   resolved.decay_prior));
 
+  std::vector<double> prior_means = prior.PosteriorMeans();
+  std::vector<double> prior_sqrt_means(num_strata);
+  std::vector<double> c_not_pred(num_strata);
+  for (size_t k = 0; k < num_strata; ++k) {
+    prior_sqrt_means[k] = std::sqrt(prior_means[k]);
+    c_not_pred[k] = (1.0 - resolved.alpha) * (1.0 - init.lambda[k]);
+  }
+  std::vector<double> fallback_v_star = strata->weights();
+  NormalizeInPlace(fallback_v_star);
+  auto setup = std::make_shared<const OasisSetup>(OasisSetup{
+      .pool = pool,
+      .strata = std::move(strata),
+      .options = resolved,
+      .initial_f = init.f_alpha,
+      .lambda = std::move(init.lambda),
+      .prior = std::move(prior),
+      .prior_means = std::move(prior_means),
+      .prior_sqrt_means = std::move(prior_sqrt_means),
+      .c_not_pred = std::move(c_not_pred),
+      .alpha_sq = resolved.alpha * resolved.alpha,
+      .fallback_v_star = std::move(fallback_v_star),
+  });
+  return setup;
+}
+
+Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
+    std::shared_ptr<const OasisSetup> setup, LabelCache* labels, Rng rng) {
+  if (setup == nullptr || labels == nullptr) {
+    return Status::InvalidArgument("OasisSampler: null setup/labels");
+  }
+  if (labels->oracle().num_items() != setup->pool->size()) {
+    return Status::InvalidArgument("OasisSampler: oracle/pool size mismatch");
+  }
   std::unique_ptr<OasisSampler> sampler(
-      new OasisSampler(pool, labels, std::move(strata), resolved, rng,
-                       std::move(model), std::move(init.lambda), init.f_alpha));
-  switch (resolved.step_path) {
+      new OasisSampler(std::move(setup), labels, rng));
+  switch (sampler->options_.step_path) {
     case OasisStepPath::kFenwick:
       OASIS_RETURN_NOT_OK(sampler->InitFenwick());
       break;
@@ -124,9 +149,6 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
       OASIS_RETURN_NOT_OK(sampler->InitAlias());
       break;
     case OasisStepPath::kShardedFenwick:
-      if (resolved.num_shards == 0) {
-        return Status::InvalidArgument("OasisSampler: num_shards must be >= 1");
-      }
       OASIS_RETURN_NOT_OK(sampler->InitShardedFenwick());
       break;
     case OasisStepPath::kFused:
@@ -134,6 +156,14 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
       break;
   }
   return sampler;
+}
+
+Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
+    const ScoredPool* pool, LabelCache* labels,
+    std::shared_ptr<const Strata> strata, const OasisOptions& options, Rng rng) {
+  OASIS_ASSIGN_OR_RETURN(std::shared_ptr<const OasisSetup> setup,
+                         Prepare(pool, std::move(strata), options));
+  return Create(std::move(setup), labels, rng);
 }
 
 Result<std::unique_ptr<OasisSampler>> OasisSampler::CreateWithCsf(
@@ -159,19 +189,19 @@ double OasisSampler::FenwickMixtureProbability(size_t k, double total) const {
 
 double OasisSampler::StratumMass(size_t k, double f) const {
   const double pi = pi_cache_[k];
-  const double not_pred = c_not_pred_[k] * f * sqrt_pi_cache_[k];
+  const double not_pred = setup_->c_not_pred[k] * f * sqrt_pi_cache_[k];
   const double pred =
-      lambda_[k] * std::sqrt(alpha_sq_ * f * f * (1.0 - pi) +
-                             (1.0 - f) * (1.0 - f) * pi);
+      setup_->lambda[k] * std::sqrt(setup_->alpha_sq * f * f * (1.0 - pi) +
+                                    (1.0 - f) * (1.0 - f) * pi);
   return strata_->weight(k) * (not_pred + pred);
 }
 
 void OasisSampler::RebuildFenwickMasses(double f) {
   const size_t num_strata = strata_->num_strata();
-  const double a2f2 = alpha_sq_ * f * f;
+  const double a2f2 = setup_->alpha_sq * f * f;
   const double omf2 = (1.0 - f) * (1.0 - f);
-  StratumMassKernel(strata_->weights().data(), lambda_.data(), pi_cache_.data(),
-                    sqrt_pi_cache_.data(), c_not_pred_.data(), f, a2f2, omf2,
+  StratumMassKernel(strata_->weights().data(), setup_->lambda.data(), pi_cache_.data(),
+                    sqrt_pi_cache_.data(), setup_->c_not_pred.data(), f, a2f2, omf2,
                     v_scratch_.data(), num_strata);
   OASIS_CHECK_OK(v_star_tree_.Rebuild(v_scratch_));
   tree_f_ = f;
@@ -181,7 +211,7 @@ Status OasisSampler::InitFenwick() {
   OASIS_ASSIGN_OR_RETURN(weights_alias_, AliasTable::Build(strata_->weights()));
   OASIS_ASSIGN_OR_RETURN(v_star_tree_,
                          FenwickTree::Build(strata_->weights()));  // Sized; masses set below.
-  RebuildFenwickMasses(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0));
+  RebuildFenwickMasses(Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0));
   return Status::OK();
 }
 
@@ -191,7 +221,7 @@ Status OasisSampler::StepFenwick() {
   // them all at O(K). The per-stratum posterior drift is already folded in by
   // the Update at the end of each step, so between rebuilds the tree is
   // exactly v*(pi(t), tree_f_).
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
+  const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0);
   const double drift = std::fabs(f - tree_f_);
   if (drift > options_.fenwick_rebuild_tol) {
     if (OASIS_TELEMETRY_ON) {
@@ -256,10 +286,10 @@ double OasisSampler::AliasMixtureProbability(size_t k) const {
 
 void OasisSampler::RebuildAliasMasses(double f) {
   const size_t num_strata = strata_->num_strata();
-  const double a2f2 = alpha_sq_ * f * f;
+  const double a2f2 = setup_->alpha_sq * f * f;
   const double omf2 = (1.0 - f) * (1.0 - f);
-  StratumMassKernel(strata_->weights().data(), lambda_.data(), pi_cache_.data(),
-                    sqrt_pi_cache_.data(), c_not_pred_.data(), f, a2f2, omf2,
+  StratumMassKernel(strata_->weights().data(), setup_->lambda.data(), pi_cache_.data(),
+                    sqrt_pi_cache_.data(), setup_->c_not_pred.data(), f, a2f2, omf2,
                     alias_snapshot_mass_.data(), num_strata);
   double total = 0.0;
   for (size_t k = 0; k < num_strata; ++k) {
@@ -286,7 +316,7 @@ Status OasisSampler::InitAlias() {
   const size_t num_strata = strata_->num_strata();
   alias_snapshot_mass_.resize(num_strata);
   alias_live_mass_.resize(num_strata);
-  RebuildAliasMasses(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0));
+  RebuildAliasMasses(Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0));
   return Status::OK();
 }
 
@@ -297,7 +327,7 @@ Status OasisSampler::StepAlias() {
   // point updates). Rebuild in place (O(K), no allocation) when EITHER drift
   // crosses fenwick_rebuild_tol; in the degenerate all-zero state, rebuild as
   // soon as any mass becomes positive.
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
+  const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0);
   const double f_drift = std::fabs(f - alias_f_);
   const bool mass_drifted =
       alias_degenerate_
@@ -367,13 +397,13 @@ double OasisSampler::ShardedMixtureProbability(size_t k, double total) const {
 }
 
 void OasisSampler::RebuildShardedMasses(double f) {
-  const double a2f2 = alpha_sq_ * f * f;
+  const double a2f2 = setup_->alpha_sq * f * f;
   const double omf2 = (1.0 - f) * (1.0 - f);
   const double* weights = strata_->weights().data();
-  const double* lambda = lambda_.data();
+  const double* lambda = setup_->lambda.data();
   const double* pi = pi_cache_.data();
   const double* sqrt_pi = sqrt_pi_cache_.data();
-  const double* c_not_pred = c_not_pred_.data();
+  const double* c_not_pred = setup_->c_not_pred.data();
   // The fill is strictly elementwise — out[j] depends on the global index
   // begin + j alone — so ParallelRebuildWith's bit-identity guarantee
   // extends to the mass computation: any shard/thread count produces the
@@ -394,7 +424,7 @@ Status OasisSampler::InitShardedFenwick() {
       v_star_forest_,
       BlockFenwickForest::Build(strata_->weights(),
                                 options_.shard_block_size));  // Sized; masses set below.
-  RebuildShardedMasses(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0));
+  RebuildShardedMasses(Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0));
   return Status::OK();
 }
 
@@ -402,7 +432,7 @@ Status OasisSampler::StepShardedFenwick() {
   // Identical to StepFenwick except the masses live in the blocked forest:
   // the O(K) drift rebuild shards across options_.shard_pool, draws and the
   // per-step point update stay O(log K).
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
+  const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0);
   const double drift = std::fabs(f - forest_f_);
   if (drift > options_.fenwick_rebuild_tol) {
     if (OASIS_TELEMETRY_ON) {
@@ -455,65 +485,94 @@ void OasisSampler::ObserveLabel(size_t stratum, bool label) {
   sqrt_pi_cache_[stratum] = std::sqrt(pi_cache_[stratum]);
 }
 
+void OasisSampler::RefreshFusedMasses(double f) {
+  const size_t num_strata = strata_->num_strata();
+  const uint64_t f_bits = std::bit_cast<uint64_t>(f);
+  const bool full = !fused_built_ || f_bits != fused_f_bits_;
+  if (!full && fused_observed_ >= num_strata) return;
+  // The mass kernel is strictly elementwise (vectorised lanes round exactly
+  // like the scalar expression, no FMA contraction), so a one-stratum call
+  // reproduces the bits a full scan would write there.
+  const size_t first = full ? 0 : fused_observed_;
+  const size_t count = full ? num_strata : 1;
+  const double a2f2 = setup_->alpha_sq * f * f;  // alpha^2 F^2
+  const double omf2 = (1.0 - f) * (1.0 - f);     // (1 - F)^2
+  StratumMassKernel(strata_->weights().data() + first,
+                    setup_->lambda.data() + first, pi_cache_.data() + first,
+                    sqrt_pi_cache_.data() + first,
+                    setup_->c_not_pred.data() + first, f, a2f2, omf2,
+                    fused_mass_.data() + first, count);
+  // Re-add the in-order prefix from the first changed stratum on: the same
+  // additions, in the same order, as the reference path's total.
+  double acc = first == 0 ? 0.0 : fused_prefix_[first - 1];
+  for (size_t i = first; i < num_strata; ++i) {
+    acc += fused_mass_[i];
+    fused_prefix_[i] = acc;
+  }
+  fused_f_bits_ = f_bits;
+  fused_built_ = true;
+}
+
+double OasisSampler::FusedMixtureProbability(size_t k, double total) const {
+  const double v_star = total > 0.0 ? fused_mass_[k] / total
+                                    : setup_->fallback_v_star[k];
+  return active_epsilon_ * strata_->weight(k) + (1.0 - active_epsilon_) * v_star;
+}
+
 Status OasisSampler::StepFused() {
   const size_t num_strata = strata_->num_strata();
+
+  // Line 3: v(t) from the current posterior means and F estimate. The
+  // unnormalised v* masses and their prefix sums are kept across steps and
+  // refreshed incrementally; every expression keeps the reference path's
+  // factor grouping and summation order, so a seeded run is bit-identical
+  // to OasisStepPath::kAllocatingReference.
+  const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0);
+  RefreshFusedMasses(f);
+  const double total = fused_prefix_[num_strata - 1];
+
+  // Normalise, mix and accumulate the running CDF of v(t) in one pass.
+  // Degenerate estimates (every mass zero) fall back to the normalised
+  // stratum weights before mixing, as the reference path does.
   const double* OASIS_RESTRICT weights = strata_->weights().data();
-  const double* OASIS_RESTRICT lambda = lambda_.data();
-  const double* OASIS_RESTRICT pi = pi_cache_.data();
-  const double* OASIS_RESTRICT sqrt_pi = sqrt_pi_cache_.data();
-  const double* OASIS_RESTRICT c_not_pred = c_not_pred_.data();
-  double* OASIS_RESTRICT v = v_scratch_.data();
-
-  // Line 3: v(t) from the current posterior means and F estimate. One fused
-  // scan computes the unnormalised v* masses; normalisation and the
-  // epsilon-greedy mix fold into a second in-place scan. Every expression
-  // keeps the reference path's factor grouping, so a seeded run is
-  // bit-identical to OasisStepPath::kAllocatingReference.
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
-  const double a2f2 = alpha_sq_ * f * f;          // alpha^2 F^2
-  const double omf2 = (1.0 - f) * (1.0 - f);      // (1 - F)^2
-  // The mass kernel is strictly elementwise (vectorised lanes round exactly
-  // like the scalar expression, no FMA contraction), so splitting the scan
-  // from the in-order total reduction below preserves bit-identity with the
-  // reference path.
-  StratumMassKernel(weights, lambda, pi, sqrt_pi, c_not_pred, f, a2f2, omf2, v,
-                    num_strata);
-  double total = 0.0;
-  for (size_t i = 0; i < num_strata; ++i) {
-    total += v[i];
-  }
+  const double* OASIS_RESTRICT v_star =
+      total > 0.0 ? fused_mass_.data() : setup_->fallback_v_star.data();
+  const double divisor = total > 0.0 ? total : 1.0;
   const double epsilon = active_epsilon_;
-  if (total <= 0.0) {
-    // Degenerate estimates: fall back to the (already normalised by
-    // invariant, renormalised here for exact reference parity) stratum
-    // weights before mixing.
-    std::copy(strata_->weights().begin(), strata_->weights().end(),
-              v_scratch_.begin());
-    NormalizeInPlace(v_scratch_);
-    for (size_t i = 0; i < num_strata; ++i) {
-      v[i] = epsilon * weights[i] + (1.0 - epsilon) * v[i];
-    }
-  } else {
-    for (size_t i = 0; i < num_strata; ++i) {
-      v[i] /= total;
-      v[i] = epsilon * weights[i] + (1.0 - epsilon) * v[i];
-    }
+  double* OASIS_RESTRICT cdf = v_scratch_.data();
+  double acc = 0.0;
+  for (size_t i = 0; i < num_strata; ++i) {
+    acc += epsilon * weights[i] + (1.0 - epsilon) * (v_star[i] / divisor);
+    cdf[i] = acc;
   }
 
-  // Lines 4-5: stratum ~ v(t), item uniform within the stratum.
-  const size_t k = rng().NextDiscreteLinear(v_scratch_);
+  // Lines 4-5: stratum ~ v(t), item uniform within the stratum. The first
+  // index whose prefix exceeds u * total is exactly the index
+  // Rng::NextDiscreteLinear would return over v(t), including its fallback
+  // to the last positive-probability stratum on floating-point slack.
+  OASIS_CHECK(acc > 0.0) << "StepFused requires positive total weight";
+  const double target = rng().NextDouble() * acc;
+  size_t k = static_cast<size_t>(
+      std::upper_bound(cdf, cdf + num_strata, target) - cdf);
+  if (k == num_strata) {
+    do {
+      --k;
+    } while (k > 0 && !(FusedMixtureProbability(k, total) > 0.0));
+  }
   const int64_t item = strata_->SampleItem(k, rng());
 
   // Line 6: importance weight w_t = omega_k / v_k, since p(z) = 1/N and
   // q_t(z) = v_k / |P_k|. The epsilon floor bounds this by 1/epsilon.
-  const double weight = strata_->weight(k) / v_scratch_[k];
+  const double weight = strata_->weight(k) / FusedMixtureProbability(k, total);
 
   // Lines 7-8: query oracle, read prediction.
   OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
   const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
 
-  // Lines 9-11: posterior update and AIS sums.
+  // Lines 9-11: posterior update and AIS sums. Only stratum k's posterior
+  // moved, so only its mass is stale for the next step.
   ObserveLabel(k, label);
+  fused_observed_ = k;
   estimator_.Add(weight, label, prediction);
   if (observer_) observer_(weight, label, prediction);
   monitor_.Observe(weight);
@@ -527,13 +586,13 @@ Status OasisSampler::StepAllocatingReference() {
 
   // Line 3: v(t) from the current posterior means and F estimate, with the
   // initial Algorithm-2 guess standing in until Eqn. (3) is defined.
-  const double f_current = estimator_.FAlphaOr(initial_f_);
+  const double f_current = estimator_.FAlphaOr(setup_->initial_f);
   v_scratch_.resize(num_strata);
   {
     std::vector<double> pi = model_.PosteriorMeans();
     OASIS_ASSIGN_OR_RETURN(
         std::vector<double> v_star,
-        OptimalStratifiedInstrumental(strata_->weights(), lambda_, pi, f_current,
+        OptimalStratifiedInstrumental(strata_->weights(), setup_->lambda, pi, f_current,
                                       options_.alpha));
     OASIS_ASSIGN_OR_RETURN(
         v_scratch_, EpsilonGreedyMix(strata_->weights(), v_star, active_epsilon_));
@@ -589,7 +648,7 @@ void OasisSampler::MaybeDegrade() {
 
 void OasisSampler::CaptureFrozenInstrumental() {
   const size_t num_strata = strata_->num_strata();
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
+  const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0);
   frozen_v_.resize(num_strata);
   double total = 0.0;
   for (size_t k = 0; k < num_strata; ++k) {
@@ -727,11 +786,11 @@ Result<std::vector<double>> OasisSampler::AliasInstrumental() const {
 }
 
 Result<std::vector<double>> OasisSampler::CurrentInstrumental() const {
-  const double f_current = estimator_.FAlphaOr(initial_f_);
+  const double f_current = estimator_.FAlphaOr(setup_->initial_f);
   std::vector<double> pi = model_.PosteriorMeans();
   OASIS_ASSIGN_OR_RETURN(
       std::vector<double> v_star,
-      OptimalStratifiedInstrumental(strata_->weights(), lambda_, pi, f_current,
+      OptimalStratifiedInstrumental(strata_->weights(), setup_->lambda, pi, f_current,
                                     options_.alpha));
   return EpsilonGreedyMix(strata_->weights(), v_star, active_epsilon_);
 }

@@ -1,6 +1,7 @@
 #ifndef OASIS_CORE_OASIS_H_
 #define OASIS_CORE_OASIS_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,8 +28,10 @@ namespace oasis {
 /// rather than bit-for-bit (tests/fenwick_step_path_test.cc verifies both
 /// the distributional match and estimator consistency).
 enum class OasisStepPath {
-  /// Zero-allocation fused O(K) scan over precomputed per-stratum constants
-  /// and an incrementally-maintained posterior-mean cache. The default.
+  /// Zero-allocation fused O(K) step over precomputed per-stratum constants
+  /// and incrementally-maintained posterior means, v* masses and mass
+  /// prefix sums: while F-hat is bit-for-bit unchanged only the stratum
+  /// observed on the previous step is recomputed. The default.
   kFused,
   /// The original allocating path (PosteriorMeans + OptimalStratified-
   /// Instrumental + EpsilonGreedyMix, one vector each per step). Kept as the
@@ -142,6 +145,42 @@ struct OasisOptions {
   bool freeze_instrumental_on_degrade = true;
 };
 
+/// Everything Algorithm 3 derives from the pool, the strata and the options
+/// before its first step: Algorithm 2's initial guesses, the resolved prior
+/// strength and the per-stratum constants of the v* formula. None of it
+/// depends on the labels or the RNG, so one setup — built by
+/// OasisSampler::Prepare in O(N) — is shared read-only by every repeat or
+/// session sampler over the same pool, and each OasisSampler::Create from it
+/// is O(K). `pool` is not owned and must outlive every sampler created from
+/// the setup.
+struct OasisSetup {
+  /// The pool the setup was prepared for (not owned).
+  const ScoredPool* pool = nullptr;
+  /// The stratification every sampler from this setup draws over.
+  std::shared_ptr<const Strata> strata;
+  /// Resolved options (prior_strength filled in when the caller left it 0).
+  OasisOptions options;
+  /// Algorithm-2 initial F-measure guess F-hat(0).
+  double initial_f = 0.0;
+  /// Per-stratum mean predictions lambda_k.
+  std::vector<double> lambda;
+  /// The beta posterior before any label (prior Gamma(0) = eta * pi-hat(0)).
+  StratifiedBetaModel prior;
+  /// prior.PosteriorMeans(): the starting value of every sampler's
+  /// incremental posterior-mean cache.
+  std::vector<double> prior_means;
+  /// Square roots of prior_means.
+  std::vector<double> prior_sqrt_means;
+  /// (1 - alpha) * (1 - lambda_k), with the factor grouping of the reference
+  /// v* formula so the fused scan stays bit-identical to it.
+  std::vector<double> c_not_pred;
+  /// alpha^2.
+  double alpha_sq = 0.0;
+  /// The stratum weights normalised exactly as the reference path does when
+  /// every v* mass is zero (the degenerate fallback of the fused step).
+  std::vector<double> fallback_v_star;
+};
+
 /// OASIS — Optimal Asymptotic Sequential Importance Sampling (Algorithm 3).
 ///
 /// Per iteration: recompute the epsilon-greedy stratified instrumental
@@ -155,10 +194,22 @@ struct OasisOptions {
 /// statistical verification.
 class OasisSampler : public Sampler {
  public:
-  /// Creates a sampler over a pre-built stratification. `pool` and `labels`
-  /// must outlive the sampler; `strata` is shared so that repeated experiment
-  /// runs reuse one stratification. Initial guesses come from Algorithm 2
-  /// applied to the pool scores.
+  /// Validates the pool, the strata and the options, and runs the O(N) part
+  /// of sampler construction once: Algorithm 2 on the pool scores and the
+  /// per-stratum constants. Create() then builds any number of samplers from
+  /// the result in O(K) each.
+  static Result<std::shared_ptr<const OasisSetup>> Prepare(
+      const ScoredPool* pool, std::shared_ptr<const Strata> strata,
+      const OasisOptions& options);
+
+  /// Creates a sampler from a prepared setup in O(K). `labels` must outlive
+  /// the sampler and label the setup's pool.
+  static Result<std::unique_ptr<OasisSampler>> Create(
+      std::shared_ptr<const OasisSetup> setup, LabelCache* labels, Rng rng);
+
+  /// Prepare() followed by Create(). `pool` and `labels` must outlive the
+  /// sampler; `strata` is shared so that repeated runs reuse one
+  /// stratification.
   static Result<std::unique_ptr<OasisSampler>> Create(
       const ScoredPool* pool, LabelCache* labels,
       std::shared_ptr<const Strata> strata, const OasisOptions& options, Rng rng);
@@ -218,15 +269,17 @@ class OasisSampler : public Sampler {
   const StratifiedBetaModel& model() const { return model_; }
 
   /// Per-stratum mean predictions lambda (fixed by the pool).
-  const std::vector<double>& lambda() const { return lambda_; }
+  const std::vector<double>& lambda() const { return setup_->lambda; }
 
   /// The stratification the sampler draws over.
   const Strata& strata() const { return *strata_; }
   /// Resolved options (prior_strength filled in when the caller left it 0).
-  const OasisOptions& options() const { return options_; }
+  const OasisOptions& options() const { return setup_->options; }
   /// Algorithm-2 initial F-measure guess F-hat(0), used until Eqn. (3) is
   /// defined.
-  double initial_f() const { return initial_f_; }
+  double initial_f() const { return setup_->initial_f; }
+  /// The shared setup this sampler was created from.
+  const std::shared_ptr<const OasisSetup>& setup() const { return setup_; }
 
   /// The importance-weight health monitor (always collecting; see
   /// OasisOptions::degeneracy).
@@ -243,13 +296,19 @@ class OasisSampler : public Sampler {
   double active_epsilon() const { return active_epsilon_; }
 
  private:
-  OasisSampler(const ScoredPool* pool, LabelCache* labels,
-               std::shared_ptr<const Strata> strata, const OasisOptions& options,
-               Rng rng, StratifiedBetaModel model, std::vector<double> lambda,
-               double initial_f);
+  OasisSampler(std::shared_ptr<const OasisSetup> setup, LabelCache* labels,
+               Rng rng);
 
   /// The zero-allocation fused iteration (OasisStepPath::kFused).
   Status StepFused();
+  /// Brings the fused path's v* masses and their prefix sums up to date
+  /// under `f`: the full O(K) kernel when f's bits differ from the build
+  /// point, otherwise only the stratum observed on the previous step.
+  void RefreshFusedMasses(double f);
+  /// Probability of stratum k under the epsilon-greedy mixture the fused
+  /// step samples from (`total` = the summed v* masses, <= 0 selects the
+  /// normalised-weights fallback), with the reference path's exact rounding.
+  double FusedMixtureProbability(size_t k, double total) const;
   /// The original allocating iteration, kept as reference and benchmark
   /// baseline (OasisStepPath::kAllocatingReference).
   Status StepAllocatingReference();
@@ -311,11 +370,11 @@ class OasisSampler : public Sampler {
   /// caches for the observed stratum (the only one whose mean can change).
   void ObserveLabel(size_t stratum, bool label);
 
-  std::shared_ptr<const Strata> strata_;
-  OasisOptions options_;
+  std::shared_ptr<const OasisSetup> setup_;
+  // Shorthands into *setup_, which owns them.
+  const Strata* strata_;
+  const OasisOptions& options_;
   StratifiedBetaModel model_;
-  std::vector<double> lambda_;
-  double initial_f_;
   AisEstimator estimator_;
   Observer observer_;
   // --- Degeneracy state --------------------------------------------------
@@ -329,7 +388,8 @@ class OasisSampler : public Sampler {
   // When true, Step() routes to StepFrozen() over frozen_v_.
   bool frozen_ = false;
   std::vector<double> frozen_v_;
-  // Scratch buffer reused across iterations to avoid per-step allocation.
+  // Scratch buffer reused across iterations to avoid per-step allocation:
+  // the fused step's running CDF of v(t), the Fenwick rebuild's masses.
   std::vector<double> v_scratch_;
   // --- Fused-path state --------------------------------------------------
   // Incrementally-maintained posterior means pi-hat_k and their square roots;
@@ -338,13 +398,20 @@ class OasisSampler : public Sampler {
   // model_.PosteriorMeans() at all times.
   std::vector<double> pi_cache_;
   std::vector<double> sqrt_pi_cache_;
-  // Precomputed per-stratum constant (1 - alpha) * (1 - lambda_k) of the v*
-  // formula; fixed for the sampler's lifetime. The factor grouping mirrors
-  // the reference implementation exactly so the fused scan stays bit-for-bit
-  // identical to it.
-  std::vector<double> c_not_pred_;
-  // alpha^2, precomputed once.
-  double alpha_sq_ = 0.0;
+  // Unnormalised v* masses and their in-order prefix sums (the last entry is
+  // the total), valid under the F-hat whose bit pattern is fused_f_bits_.
+  // Between two steps with bit-equal F-hat only the observed stratum's mass
+  // moves, so RefreshFusedMasses recomputes that one mass and the prefix
+  // from it on. Empty unless step_path == kFused.
+  std::vector<double> fused_mass_;
+  std::vector<double> fused_prefix_;
+  uint64_t fused_f_bits_ = 0;
+  bool fused_built_ = false;
+  // Stratum observed by the previous fused step (num_strata() before the
+  // first). No other path runs on a kFused sampler before the frozen mode,
+  // which never returns to StepFused, so this is the only mass that can be
+  // stale.
+  size_t fused_observed_ = 0;
   // --- Fenwick-path state ------------------------------------------------
   // Unnormalised v* masses, maintained incrementally: Update for the one
   // observed stratum per step, Rebuild only when F-hat drifts past

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -52,12 +53,34 @@ MethodSpec MakeImportanceSpec(const ImportanceOptions& options) {
 
 MethodSpec MakeOasisSpec(const OasisOptions& options,
                          std::shared_ptr<const Strata> strata) {
+  // The O(N) setup runs lazily, once, on the first factory call — inside the
+  // runner's fan-out or the first served session — and every later repeat or
+  // session shares it. Copies of the spec share it too.
+  struct Prepared {
+    std::once_flag once;
+    const ScoredPool* pool = nullptr;
+    Result<std::shared_ptr<const OasisSetup>> setup =
+        Status::FailedPrecondition("OASIS setup not prepared");
+  };
+  auto prepared = std::make_shared<Prepared>();
   MethodSpec spec;
   spec.name = "OASIS-" + std::to_string(strata->num_strata());
-  spec.factory = [options, strata](const ScoredPool* pool, LabelCache* labels,
-                                   Rng rng) -> Result<std::unique_ptr<Sampler>> {
-    OASIS_ASSIGN_OR_RETURN(std::unique_ptr<OasisSampler> sampler,
-                           OasisSampler::Create(pool, labels, strata, options, rng));
+  spec.factory = [options, strata, prepared](
+                     const ScoredPool* pool, LabelCache* labels,
+                     Rng rng) -> Result<std::unique_ptr<Sampler>> {
+    std::call_once(prepared->once, [&] {
+      prepared->pool = pool;
+      prepared->setup = OasisSampler::Prepare(pool, strata, options);
+    });
+    if (pool != prepared->pool) {
+      return Status::InvalidArgument(
+          "MakeOasisSpec: factory called with a pool other than the one its "
+          "setup was prepared for");
+    }
+    OASIS_RETURN_NOT_OK(prepared->setup.status());
+    OASIS_ASSIGN_OR_RETURN(
+        std::unique_ptr<OasisSampler> sampler,
+        OasisSampler::Create(prepared->setup.ValueOrDie(), labels, rng));
     return std::unique_ptr<Sampler>(std::move(sampler));
   };
   return spec;

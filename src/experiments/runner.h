@@ -51,7 +51,10 @@ MethodSpec MakeStratifiedSpec(double alpha, std::shared_ptr<const Strata> strata
 /// Static importance sampling method spec.
 MethodSpec MakeImportanceSpec(const ImportanceOptions& options);
 /// OASIS (adaptive importance sampling) method spec over a shared
-/// stratification.
+/// stratification. The first factory call runs OasisSampler::Prepare on its
+/// pool; every later call, from any thread and through any copy of the spec,
+/// creates its sampler from that one setup in O(K). A call with a different
+/// pool returns InvalidArgument, so build one spec per pool.
 MethodSpec MakeOasisSpec(const OasisOptions& options,
                          std::shared_ptr<const Strata> strata);
 

@@ -35,6 +35,8 @@ telemetry::Counter& PendingRollbacks() {
 
 LabelCache::LabelCache(const Oracle* oracle) : oracle_(oracle) {
   OASIS_CHECK(oracle != nullptr);
+  deterministic_ = oracle->deterministic();
+  fallible_ = oracle->fallible();
   cache_.assign(static_cast<size_t>(oracle->num_items()), 0);
 }
 
@@ -42,7 +44,7 @@ bool LabelCache::Query(int64_t item, Rng& rng) {
   OASIS_DCHECK(item >= 0 && item < oracle_->num_items());
   ++total_queries_;
   uint8_t& slot = cache_[static_cast<size_t>(item)];
-  if (oracle_->deterministic()) {
+  if (deterministic_) {
     if (slot != 0) {
       if (OASIS_TELEMETRY_ON) CacheHits().Increment();
       return slot == 2;  // Free replay of the cached label.
@@ -66,7 +68,7 @@ bool LabelCache::Query(int64_t item, Rng& rng) {
 }
 
 Result<bool> LabelCache::TryQuery(int64_t item, Rng& rng) {
-  if (!oracle_->fallible()) {
+  if (!fallible_) {
     return Query(item, rng);  // Reliable stack: the zero-overhead hot path.
   }
   const int64_t batch[1] = {item};
@@ -84,9 +86,9 @@ Status LabelCache::QueryBatch(std::span<const int64_t> items, Rng& rng,
   }
   total_queries_ += static_cast<int64_t>(items.size());
   if (items.empty()) return Status::OK();
-  if (oracle_->fallible()) return QueryBatchFallible(items, rng, out_labels);
+  if (fallible_) return QueryBatchFallible(items, rng, out_labels);
 
-  if (!oracle_->deterministic()) {
+  if (!deterministic_) {
     // Noisy oracle: every query is a fresh charged draw; the batched oracle
     // call consumes the RNG in item order, i.e. on the identical stream the
     // sequential Query loop would use (the bookkeeping between draws never
@@ -142,7 +144,7 @@ Status LabelCache::QueryBatch(std::span<const int64_t> items, Rng& rng,
 
 Status LabelCache::QueryBatchFallible(std::span<const int64_t> items, Rng& rng,
                                       std::span<uint8_t> out_labels) {
-  if (!oracle_->deterministic()) {
+  if (!deterministic_) {
     // Noisy + fallible: every RESOLVED draw is charged (footnote-5 noisy
     // regime); an unresolved position is re-requested — a fresh draw, which
     // is exactly what a sequential re-Query would have produced — and

@@ -21,9 +21,11 @@ namespace oasis {
 class LabelCache {
  public:
   /// The oracle must outlive the cache. Caching behaviour follows
-  /// oracle->deterministic(). The cache only ever reads from the oracle
-  /// (labelling is const), so many caches — one per experiment repeat,
-  /// possibly on different threads — can safely share one oracle.
+  /// oracle->deterministic(); it and oracle->fallible() are read once, here
+  /// (both are fixed for an oracle's lifetime). The cache only ever reads
+  /// from the oracle (labelling is const), so many caches — one per
+  /// experiment repeat, possibly on different threads — can safely share one
+  /// oracle.
   explicit LabelCache(const Oracle* oracle);
 
   /// Returns a label for `item`, charging the budget per the policy above.
@@ -82,6 +84,10 @@ class LabelCache {
                             std::span<uint8_t> out_labels);
 
   const Oracle* oracle_;
+  // oracle_->deterministic() and oracle_->fallible(), read at construction so
+  // the per-query hot path makes no virtual calls to re-ask them.
+  bool deterministic_ = false;
+  bool fallible_ = false;
   // 0 = never queried, 1 = cached label 0, 2 = cached label 1, 3 = noisy
   // first-touch marker, 4 = transient QueryBatch miss-pending marker (never
   // persists past a QueryBatch call).

@@ -49,7 +49,8 @@ class Oracle {
 
   /// Whether p(1|z) is degenerate ({0,1}) for every item. Deterministic
   /// oracles admit label caching (paper footnote 5: a pair is charged to the
-  /// budget only the first time).
+  /// budget only the first time). Must not change over the oracle's
+  /// lifetime: LabelCache reads it once, at construction.
   virtual bool deterministic() const = 0;
 
   /// Whether Label()/LabelBatch() draw from the caller's RNG. True for any
@@ -66,6 +67,8 @@ class Oracle {
   /// Oracle, RetryingOracle, and RemoteOracle over a fallible inner — return
   /// true, which routes LabelCache through the fallible TryLabelBatch() path
   /// below instead of the infallible LabelBatch(). See docs/FAULT_MODEL.md.
+  /// Like deterministic(), fixed for the oracle's lifetime (decorators
+  /// forward their construction-time inner oracle's answer).
   virtual bool fallible() const { return false; }
 
   /// Fallible batched labelling. On return, resolved[i] != 0 iff out[i] holds

@@ -1,0 +1,205 @@
+// Bit-identity of the incremental fused OASIS step against the allocating
+// reference path. The fused step keeps its v* masses and their prefix sums
+// across steps and recomputes only the previously observed stratum while
+// F-hat is bit-for-bit unchanged; these tests step both paths side by side
+// and demand the same stratum, weight and estimate at every step — across
+// steps where F-hat moves and steps where it does not, through the all-zero
+// mass fallback, and across a degradation epsilon boost.
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
+
+#include "core/oasis.h"
+#include "oracle/ground_truth_oracle.h"
+#include "strata/csf.h"
+#include "tests/test_util.h"
+
+namespace oasis {
+namespace {
+
+/// One sampler plus what its observer saw on the latest step.
+struct Probe {
+  std::unique_ptr<LabelCache> labels;
+  std::unique_ptr<OasisSampler> sampler;
+  double last_weight = -1.0;
+};
+
+Probe MakeProbe(const ScoredPool& pool, const Oracle& oracle,
+                std::shared_ptr<const Strata> strata, OasisOptions options,
+                OasisStepPath path, uint64_t seed) {
+  Probe probe;
+  probe.labels = std::make_unique<LabelCache>(&oracle);
+  options.step_path = path;
+  probe.sampler = OasisSampler::Create(&pool, probe.labels.get(),
+                                       std::move(strata), options, Rng(seed))
+                      .ValueOrDie();
+  double* last_weight = &probe.last_weight;
+  probe.sampler->SetObserver(
+      [last_weight](double weight, bool, bool) { *last_weight = weight; });
+  return probe;
+}
+
+/// The stratum whose visit count grew between `before` and now.
+size_t ObservedStratum(const OasisSampler& sampler,
+                       const std::vector<int64_t>& before) {
+  for (size_t k = 0; k < before.size(); ++k) {
+    if (sampler.model().labels_observed(k) != before[k]) return k;
+  }
+  ADD_FAILURE() << "no stratum was observed";
+  return before.size();
+}
+
+std::vector<int64_t> VisitCounts(const OasisSampler& sampler) {
+  std::vector<int64_t> counts(sampler.strata().num_strata());
+  for (size_t k = 0; k < counts.size(); ++k) {
+    counts[k] = sampler.model().labels_observed(k);
+  }
+  return counts;
+}
+
+void ExpectSnapshotsIdentical(const EstimateSnapshot& a,
+                              const EstimateSnapshot& b) {
+  EXPECT_EQ(a.f_defined, b.f_defined);
+  EXPECT_EQ(a.precision_defined, b.precision_defined);
+  EXPECT_EQ(a.recall_defined, b.recall_defined);
+  EXPECT_EQ(a.f_alpha, b.f_alpha);
+  EXPECT_EQ(a.precision, b.precision);
+  EXPECT_EQ(a.recall, b.recall);
+}
+
+/// Steps both probes `steps` times and checks stratum, weight and snapshot
+/// after every step. Returns how many steps left F-hat bit-for-bit unchanged
+/// (the incremental branch) and how many moved it (the full rebuild).
+struct StepCounts {
+  int f_unchanged = 0;
+  int f_changed = 0;
+};
+
+StepCounts StepSideBySide(Probe& fused, Probe& reference, int steps) {
+  StepCounts counts;
+  for (int step = 0; step < steps; ++step) {
+    const double f_before = fused.sampler->Estimate().f_alpha;
+    const std::vector<int64_t> fused_before = VisitCounts(*fused.sampler);
+    const std::vector<int64_t> reference_before =
+        VisitCounts(*reference.sampler);
+    EXPECT_TRUE(fused.sampler->Step().ok());
+    EXPECT_TRUE(reference.sampler->Step().ok());
+    EXPECT_EQ(ObservedStratum(*fused.sampler, fused_before),
+              ObservedStratum(*reference.sampler, reference_before))
+        << "step " << step;
+    EXPECT_EQ(fused.last_weight, reference.last_weight) << "step " << step;
+    ExpectSnapshotsIdentical(fused.sampler->Estimate(),
+                             reference.sampler->Estimate());
+    if (fused.sampler->Estimate().f_alpha == f_before) {
+      ++counts.f_unchanged;
+    } else {
+      ++counts.f_changed;
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  return counts;
+}
+
+TEST(FusedIncrementalTest, MatchesReferenceWhetherOrNotFHatMoves) {
+  testutil::SyntheticPoolOptions pool_options;
+  pool_options.size = 5000;
+  pool_options.seed = 4242;
+  const testutil::SyntheticPool pool = testutil::MakeSyntheticPool(pool_options);
+  GroundTruthOracle oracle(pool.truth);
+  auto strata = std::make_shared<const Strata>(
+      StratifyCsf(pool.scored.scores, 30).ValueOrDie());
+
+  Probe fused = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
+                          OasisStepPath::kFused, 31);
+  Probe reference = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
+                              OasisStepPath::kAllocatingReference, 31);
+  const StepCounts counts = StepSideBySide(fused, reference, 2000);
+  // Both branches of the fused refresh must have been exercised.
+  EXPECT_GT(counts.f_unchanged, 100);
+  EXPECT_GT(counts.f_changed, 100);
+
+  // StepBatch runs the same fused step without the per-call dispatch.
+  ASSERT_TRUE(fused.sampler->StepBatch(777).ok());
+  ASSERT_TRUE(reference.sampler->StepBatch(777).ok());
+  ExpectSnapshotsIdentical(fused.sampler->Estimate(),
+                           reference.sampler->Estimate());
+  EXPECT_EQ(fused.sampler->labels_consumed(),
+            reference.sampler->labels_consumed());
+}
+
+TEST(FusedIncrementalTest, AllZeroMassFallbackMatchesReference) {
+  // Every item predicted positive and alpha = 0 (recall): F-hat is exactly 1
+  // from Algorithm 2 on, so every v* mass is zero and both paths sample
+  // from the normalised stratum weights.
+  Rng rng(99);
+  ScoredPool scored;
+  std::vector<uint8_t> truth;
+  for (int i = 0; i < 3000; ++i) {
+    scored.scores.push_back(0.5 + 0.5 * rng.NextDouble());
+    scored.predictions.push_back(1);
+    truth.push_back(rng.NextDouble() < 0.3 ? 1 : 0);
+  }
+  scored.scores_are_probabilities = true;
+  scored.threshold = 0.5;
+  GroundTruthOracle oracle(truth);
+  auto strata = std::make_shared<const Strata>(
+      StratifyCsf(scored.scores, 12, true).ValueOrDie());
+
+  OasisOptions options;
+  options.alpha = 0.0;
+  Probe fused =
+      MakeProbe(scored, oracle, strata, options, OasisStepPath::kFused, 5);
+  Probe reference = MakeProbe(scored, oracle, strata, options,
+                              OasisStepPath::kAllocatingReference, 5);
+  ASSERT_EQ(fused.sampler->initial_f(), 1.0);
+  StepSideBySide(fused, reference, 600);
+
+  // The instrumental really is the weights fallback (eps * w + (1 - eps) * w).
+  const std::vector<double> v = fused.sampler->CurrentInstrumental().ValueOrDie();
+  for (size_t k = 0; k < v.size(); ++k) {
+    EXPECT_NEAR(v[k], strata->weight(k), 1e-15);
+  }
+}
+
+TEST(FusedIncrementalTest, DegradationEpsilonBoostMatchesReference) {
+  testutil::SyntheticPoolOptions pool_options;
+  pool_options.size = 4000;
+  pool_options.seed = 77;
+  const testutil::SyntheticPool pool = testutil::MakeSyntheticPool(pool_options);
+  GroundTruthOracle oracle(pool.truth);
+  auto strata = std::make_shared<const Strata>(
+      StratifyCsf(pool.scored.scores, 25).ValueOrDie());
+
+  OasisOptions options;
+  options.degrade_on_degeneracy = true;
+  options.degraded_epsilon = 0.6;
+  // Boost epsilon but keep adapting, so the fused step keeps running.
+  options.freeze_instrumental_on_degrade = false;
+  // Sensitive thresholds so the monitor fires within a short run.
+  options.degeneracy.min_observations = 64;
+  options.degeneracy.ess_floor_fraction = 0.9;
+  options.degeneracy.tail_mass_ceiling = 2.0;
+  Probe fused =
+      MakeProbe(pool.scored, oracle, strata, options, OasisStepPath::kFused, 11);
+  Probe reference = MakeProbe(pool.scored, oracle, strata, options,
+                              OasisStepPath::kAllocatingReference, 11);
+
+  int steps = 0;
+  while (!fused.sampler->degraded() && steps < 4000 && !HasFailure()) {
+    StepSideBySide(fused, reference, 1);
+    ++steps;
+  }
+  ASSERT_TRUE(fused.sampler->degraded());
+  ASSERT_TRUE(reference.sampler->degraded());
+  EXPECT_EQ(fused.sampler->active_epsilon(), 0.6);
+  // After the boost the fused path keeps stepping on its maintained masses,
+  // through both refresh branches.
+  const StepCounts counts = StepSideBySide(fused, reference, 1000);
+  EXPECT_GT(counts.f_unchanged, 50);
+  EXPECT_GT(counts.f_changed, 50);
+}
+
+}  // namespace
+}  // namespace oasis
