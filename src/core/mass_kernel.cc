@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/logging.h"
+
 #if defined(__AVX2__)
 #include <immintrin.h>
 #elif defined(__SSE2__)
@@ -74,6 +76,18 @@ void StratumMassKernel(const double* weights, const double* lambda,
     v[i] = ScalarMass(weights[i], lambda[i], pi[i], sqrt_pi[i], c_not_pred[i],
                       f, a2f2, omf2);
   }
+}
+
+double MixtureCdfKernel(const double* OASIS_RESTRICT weights,
+                        const double* OASIS_RESTRICT v_star, double divisor,
+                        double epsilon, double* OASIS_RESTRICT cdf, size_t n) {
+  const double keep = 1.0 - epsilon;
+  double acc = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    acc += epsilon * weights[i] + keep * (v_star[i] / divisor);
+    cdf[i] = acc;
+  }
+  return acc;
 }
 
 bool MassKernelVectorized() {

@@ -531,20 +531,16 @@ Status OasisSampler::StepFused() {
   RefreshFusedMasses(f);
   const double total = fused_prefix_[num_strata - 1];
 
-  // Normalise, mix and accumulate the running CDF of v(t) in one pass.
+  // Normalise, mix and accumulate the running CDF of v(t), allocation-free.
   // Degenerate estimates (every mass zero) fall back to the normalised
   // stratum weights before mixing, as the reference path does.
-  const double* OASIS_RESTRICT weights = strata_->weights().data();
-  const double* OASIS_RESTRICT v_star =
+  const double* v_star =
       total > 0.0 ? fused_mass_.data() : setup_->fallback_v_star.data();
   const double divisor = total > 0.0 ? total : 1.0;
-  const double epsilon = active_epsilon_;
-  double* OASIS_RESTRICT cdf = v_scratch_.data();
-  double acc = 0.0;
-  for (size_t i = 0; i < num_strata; ++i) {
-    acc += epsilon * weights[i] + (1.0 - epsilon) * (v_star[i] / divisor);
-    cdf[i] = acc;
-  }
+  double* cdf = v_scratch_.data();
+  const double acc =
+      MixtureCdfKernel(strata_->weights().data(), v_star, divisor,
+                       active_epsilon_, cdf, num_strata);
 
   // Lines 4-5: stratum ~ v(t), item uniform within the stratum. The first
   // index whose prefix exceeds u * total is exactly the index

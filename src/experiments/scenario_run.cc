@@ -1,6 +1,7 @@
 #include "experiments/scenario_run.h"
 
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -181,6 +182,15 @@ Result<ScenarioRunResult> RunScenario(const datagen::ScenarioPool& pool,
   OASIS_RETURN_NOT_OK(options.Validate());
   OASIS_ASSIGN_OR_RETURN(const std::unique_ptr<Oracle> oracle,
                          datagen::MakeScenarioOracle(pool));
+  // A deterministic oracle charges each item once (footnote 5), so a budget
+  // above the pool size can never be spent: the trajectory would only stop at
+  // its iteration cap.
+  if (oracle->deterministic() && options.budget > static_cast<int64_t>(pool.scored.size())) {
+    return Status::InvalidArgument(
+        "RunScenario: budget " + std::to_string(options.budget) +
+        " exceeds the pool size " + std::to_string(pool.scored.size()) +
+        "; a deterministic oracle charges each item once");
+  }
   OASIS_ASSIGN_OR_RETURN(
       const MethodSpec method,
       MakeMethodByName(options.method, pool.spec.alpha, pool.scored,

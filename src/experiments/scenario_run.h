@@ -78,7 +78,9 @@ struct ScenarioRunResult {
 /// against the pool's constructed truth, plus one probe trajectory (repeat
 /// 0's RNG stream) whose DegeneracyMonitor verdict feeds the summary's
 /// degeneracy fields. Deterministic: a pure function of (pool, options) at
-/// any thread count.
+/// any thread count. Fails with InvalidArgument when the scenario oracle is
+/// deterministic and `options.budget` exceeds the pool size, since each item
+/// is charged once and such a budget can never be spent.
 Result<ScenarioRunResult> RunScenario(const datagen::ScenarioPool& pool,
                                       const ScenarioRunOptions& options);
 

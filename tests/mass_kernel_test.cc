@@ -1,0 +1,167 @@
+// Bit-for-bit checks of the two fused-step kernels in core/mass_kernel.h
+// against their scalar formulas. The fused OASIS step is bit-identical to the
+// allocating reference path only because each kernel rounds exactly like the
+// scalar expression it replaces; these tests pin that down directly, over
+// lengths that cover every vector body and tail and over the epsilon values
+// the sampler can see (plus the 0 edge the formula admits).
+//
+// The references below are plain scalar C++. The build compiles with
+// CMAKE_CXX_EXTENSIONS OFF, i.e. ISO mode, where GCC and Clang do not
+// contract a * b + c into an FMA, so the references round every operation.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/random.h"
+#include "core/mass_kernel.h"
+
+namespace oasis {
+namespace {
+
+constexpr size_t kLengths[] = {1, 2, 3, 4, 5, 7, 8, 30, 31, 1000};
+constexpr double kEpsilons[] = {0.0, 1e-3, 0.1, 1.0};
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Random kernel inputs of length n, shaped like a sampler's: positive
+/// stratum weights summing to ~1, lambda and prediction indicators in [0, 1],
+/// posterior means in (0, 1) with their square roots.
+struct Inputs {
+  std::vector<double> weights, lambda, pi, sqrt_pi, c_not_pred;
+
+  Inputs(size_t n, uint64_t seed)
+      : weights(n), lambda(n), pi(n), sqrt_pi(n), c_not_pred(n) {
+    Rng rng(seed);
+    for (size_t i = 0; i < n; ++i) {
+      weights[i] = (0.5 + rng.NextDouble()) / static_cast<double>(n);
+      lambda[i] = rng.NextDouble();
+      pi[i] = 1e-6 + (1.0 - 2e-6) * rng.NextDouble();
+      sqrt_pi[i] = std::sqrt(pi[i]);
+      c_not_pred[i] = 1.0 - lambda[i];
+    }
+  }
+};
+
+/// Eqn. 11's unnormalised mass with StratumMassKernel's documented grouping.
+double ScalarMass(const Inputs& in, size_t i, double f, double a2f2,
+                  double omf2) {
+  const double not_pred = in.c_not_pred[i] * f * in.sqrt_pi[i];
+  const double pred =
+      in.lambda[i] * std::sqrt(a2f2 * (1.0 - in.pi[i]) + omf2 * in.pi[i]);
+  return in.weights[i] * (not_pred + pred);
+}
+
+std::vector<double> KernelMasses(const Inputs& in, double f, double a2f2,
+                                 double omf2) {
+  const size_t n = in.weights.size();
+  std::vector<double> v(n);
+  StratumMassKernel(in.weights.data(), in.lambda.data(), in.pi.data(),
+                    in.sqrt_pi.data(), in.c_not_pred.data(), f, a2f2, omf2,
+                    v.data(), n);
+  return v;
+}
+
+TEST(StratumMassKernelTest, MatchesScalarFormulaBitForBit) {
+  for (size_t n : kLengths) {
+    const Inputs in(n, 17 + n);
+    for (double f : {0.0, 0.37, 0.9, 1.0}) {
+      for (double alpha : {0.0, 0.5, 1.0}) {
+        const double a2f2 = alpha * alpha * f * f;
+        const double omf2 = (1.0 - f) * (1.0 - f);
+        const std::vector<double> v = KernelMasses(in, f, a2f2, omf2);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(Bits(v[i]), Bits(ScalarMass(in, i, f, a2f2, omf2)))
+              << "n=" << n << " i=" << i << " f=" << f << " alpha=" << alpha;
+        }
+      }
+    }
+  }
+}
+
+TEST(StratumMassKernelTest, SingleElementCallReproducesFullScan) {
+  // The fused step refreshes one stratum with an n = 1 call at an offset;
+  // that must write the bits a full scan writes there, whatever the lane.
+  const size_t n = 31;
+  const Inputs in(n, 5);
+  const double f = 0.61, a2f2 = 0.25 * f * f, omf2 = (1.0 - f) * (1.0 - f);
+  const std::vector<double> full = KernelMasses(in, f, a2f2, omf2);
+  for (size_t i = 0; i < n; ++i) {
+    double one = -1.0;
+    StratumMassKernel(in.weights.data() + i, in.lambda.data() + i,
+                      in.pi.data() + i, in.sqrt_pi.data() + i,
+                      in.c_not_pred.data() + i, f, a2f2, omf2, &one, 1);
+    ASSERT_EQ(Bits(one), Bits(full[i])) << "i=" << i;
+  }
+}
+
+/// The running CDF the fused step draws from, written as the reference path
+/// computes it: each mixed term, then an in-order sum.
+std::vector<double> ScalarMixtureCdf(const std::vector<double>& weights,
+                                     const std::vector<double>& v_star,
+                                     double divisor, double epsilon) {
+  std::vector<double> cdf(weights.size());
+  double acc = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    acc += epsilon * weights[i] + (1.0 - epsilon) * (v_star[i] / divisor);
+    cdf[i] = acc;
+  }
+  return cdf;
+}
+
+void ExpectMixtureCdfMatches(const std::vector<double>& weights,
+                             const std::vector<double>& v_star,
+                             double divisor, double epsilon) {
+  const size_t n = weights.size();
+  const std::vector<double> want =
+      ScalarMixtureCdf(weights, v_star, divisor, epsilon);
+  std::vector<double> cdf(n, -1.0);
+  const double total = MixtureCdfKernel(weights.data(), v_star.data(),
+                                        divisor, epsilon, cdf.data(), n);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(Bits(cdf[i]), Bits(want[i]))
+        << "n=" << n << " i=" << i << " epsilon=" << epsilon;
+  }
+  EXPECT_EQ(Bits(total), Bits(want[n - 1]))
+      << "n=" << n << " epsilon=" << epsilon;
+}
+
+TEST(MixtureCdfKernelTest, MatchesScalarFormulaBitForBit) {
+  for (size_t n : kLengths) {
+    const Inputs in(n, 101 + n);
+    const double f = 0.42, a2f2 = 0.25 * f * f, omf2 = (1.0 - f) * (1.0 - f);
+    const std::vector<double> masses = KernelMasses(in, f, a2f2, omf2);
+    double mass_total = 0.0;
+    for (double m : masses) mass_total += m;
+    for (double epsilon : kEpsilons) {
+      ExpectMixtureCdfMatches(in.weights, masses, mass_total, epsilon);
+    }
+  }
+}
+
+TEST(MixtureCdfKernelTest, FallbackInputMatchesBitForBit) {
+  // Every mass zero: the fused step mixes the normalised stratum weights
+  // (OasisSetup::fallback_v_star) with divisor 1 instead.
+  for (size_t n : kLengths) {
+    const Inputs in(n, 303 + n);
+    double weight_total = 0.0;
+    for (double w : in.weights) weight_total += w;
+    std::vector<double> fallback_v_star(n);
+    for (size_t i = 0; i < n; ++i) {
+      fallback_v_star[i] = in.weights[i] / weight_total;
+    }
+    for (double epsilon : kEpsilons) {
+      ExpectMixtureCdfMatches(in.weights, fallback_v_star, 1.0, epsilon);
+    }
+  }
+}
+
+TEST(MixtureCdfKernelTest, EmptyInputReturnsZero) {
+  EXPECT_EQ(MixtureCdfKernel(nullptr, nullptr, 1.0, 0.1, nullptr, 0), 0.0);
+}
+
+}  // namespace
+}  // namespace oasis

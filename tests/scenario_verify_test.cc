@@ -249,6 +249,42 @@ TEST(ScenarioVerifyTest, UnknownStepPathIsRejectedByValidation) {
   EXPECT_TRUE(options.Validate().ok());
 }
 
+TEST(ScenarioVerifyTest, BudgetBeyondADeterministicPoolIsRejected) {
+  // Each item of a deterministic pool is charged once, so a budget one above
+  // the pool size can never be spent; the run must say so up front.
+  const ScenarioPool pool =
+      GenerateScenario(ScenarioByName("stripe-f90").ValueOrDie()).ValueOrDie();
+  ScenarioRunOptions options;
+  options.budget = pool.scored.size() + 1;
+  options.checkpoint_every = 1000;
+  options.repeats = 1;
+  const Result<ScenarioRunResult> result = RunScenario(pool, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = result.status().message();
+  EXPECT_NE(message.find(std::to_string(options.budget)), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(std::to_string(pool.scored.size())),
+            std::string::npos)
+      << message;
+}
+
+TEST(ScenarioVerifyTest, BudgetBeyondANoisyPoolIsAllowed) {
+  // A noisy oracle charges every query, so the budget may exceed the pool.
+  datagen::ScenarioSpec spec = ScenarioByName("noisy-flip05").ValueOrDie();
+  spec.pool_size = 400;
+  spec.match_rate = 0.05;
+  const ScenarioPool pool = GenerateScenario(spec).ValueOrDie();
+  ScenarioRunOptions options;
+  options.method = "passive";
+  options.budget = 401;
+  options.checkpoint_every = 401;
+  options.repeats = 1;
+  const Result<ScenarioRunResult> result = RunScenario(pool, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.ValueOrDie().summary.budget, 401);
+}
+
 TEST(ScenarioVerifyTest, StaticImportanceMustTripOnTheSisBreaker) {
   // The adversarial score-inversion pool exists to degenerate a static
   // score-driven proposal: the IS run's monitor must trip, and the
