@@ -1,6 +1,8 @@
 #include "core/mass_kernel.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -88,6 +90,41 @@ double MixtureCdfKernel(const double* OASIS_RESTRICT weights,
     cdf[i] = acc;
   }
   return acc;
+}
+
+std::optional<size_t> CertifiedMixtureDraw(const double* weight_prefix,
+                                           const double* mass_prefix,
+                                           double epsilon, double u, size_t n) {
+  if (n == 0) return std::nullopt;
+  const double total = mass_prefix[n - 1];
+  if (!(total >= std::numeric_limits<double>::min() &&
+        total <= std::numeric_limits<double>::max())) {
+    return std::nullopt;
+  }
+  const double keep = 1.0 - epsilon;
+  const auto estimate = [&](size_t i) {
+    return epsilon * weight_prefix[i] + keep * (mass_prefix[i] / total);
+  };
+  const double last = estimate(n - 1);
+  const double margin = 3.0 * (4.0 * static_cast<double>(n) + 32.0) * 0x1p-53 *
+                        std::max(1.0, last);
+  if (!(last > margin)) return std::nullopt;
+  const double target = u * last;
+  // First k with r_k > target (r is non-decreasing).
+  size_t k = 0;
+  size_t count = n;
+  while (count > 0) {
+    const size_t half = count / 2;
+    if (estimate(k + half) > target) {
+      count = half;
+    } else {
+      k += half + 1;
+      count -= half + 1;
+    }
+  }
+  if (k == n || !(estimate(k) - target > margin)) return std::nullopt;
+  if (k > 0 && !(target - estimate(k - 1) > margin)) return std::nullopt;
+  return k;
 }
 
 bool MassKernelVectorized() {

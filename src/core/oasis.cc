@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -115,6 +116,12 @@ Result<std::shared_ptr<const OasisSetup>> OasisSampler::Prepare(
   }
   std::vector<double> fallback_v_star = strata->weights();
   NormalizeInPlace(fallback_v_star);
+  std::vector<double> weight_prefix(num_strata);
+  double weight_acc = 0.0;
+  for (size_t k = 0; k < num_strata; ++k) {
+    weight_acc += strata->weight(k);
+    weight_prefix[k] = weight_acc;
+  }
   auto setup = std::make_shared<const OasisSetup>(OasisSetup{
       .pool = pool,
       .strata = std::move(strata),
@@ -127,6 +134,7 @@ Result<std::shared_ptr<const OasisSetup>> OasisSampler::Prepare(
       .c_not_pred = std::move(c_not_pred),
       .alpha_sq = resolved.alpha * resolved.alpha,
       .fallback_v_star = std::move(fallback_v_star),
+      .weight_prefix = std::move(weight_prefix),
   });
   return setup;
 }
@@ -519,6 +527,42 @@ double OasisSampler::FusedMixtureProbability(size_t k, double total) const {
   return active_epsilon_ * strata_->weight(k) + (1.0 - active_epsilon_) * v_star;
 }
 
+size_t OasisSampler::ExactFusedDraw(double u, double total) {
+  if (OASIS_TELEMETRY_ON) {
+    static telemetry::Counter& exact_draws =
+        telemetry::DefaultRegistry().AddCounter(
+            "oasis_sampler_fused_exact_draws_total",
+            "Fused steps whose stratum draw the certified draw left "
+            "undecided, so the exact mixture-CDF pass ran.");
+    exact_draws.Increment();
+  }
+  // Normalise, mix and accumulate the running CDF of v(t), allocation-free.
+  // Degenerate estimates (every mass zero) fall back to the normalised
+  // stratum weights before mixing, as the reference path does.
+  const size_t num_strata = strata_->num_strata();
+  const double* v_star =
+      total > 0.0 ? fused_mass_.data() : setup_->fallback_v_star.data();
+  const double divisor = total > 0.0 ? total : 1.0;
+  double* cdf = v_scratch_.data();
+  const double acc =
+      MixtureCdfKernel(strata_->weights().data(), v_star, divisor,
+                       active_epsilon_, cdf, num_strata);
+
+  // The first index whose prefix exceeds u * total, including
+  // Rng::NextDiscreteLinear's fallback to the last positive-probability
+  // stratum on floating-point slack.
+  OASIS_CHECK(acc > 0.0) << "StepFused requires positive total weight";
+  const double target = u * acc;
+  size_t k = static_cast<size_t>(
+      std::upper_bound(cdf, cdf + num_strata, target) - cdf);
+  if (k == num_strata) {
+    do {
+      --k;
+    } while (k > 0 && !(FusedMixtureProbability(k, total) > 0.0));
+  }
+  return k;
+}
+
 Status OasisSampler::StepFused() {
   const size_t num_strata = strata_->num_strata();
 
@@ -531,30 +575,18 @@ Status OasisSampler::StepFused() {
   RefreshFusedMasses(f);
   const double total = fused_prefix_[num_strata - 1];
 
-  // Normalise, mix and accumulate the running CDF of v(t), allocation-free.
-  // Degenerate estimates (every mass zero) fall back to the normalised
-  // stratum weights before mixing, as the reference path does.
-  const double* v_star =
-      total > 0.0 ? fused_mass_.data() : setup_->fallback_v_star.data();
-  const double divisor = total > 0.0 ? total : 1.0;
-  double* cdf = v_scratch_.data();
-  const double acc =
-      MixtureCdfKernel(strata_->weights().data(), v_star, divisor,
-                       active_epsilon_, cdf, num_strata);
-
-  // Lines 4-5: stratum ~ v(t), item uniform within the stratum. The first
-  // index whose prefix exceeds u * total is exactly the index
-  // Rng::NextDiscreteLinear would return over v(t), including its fallback
-  // to the last positive-probability stratum on floating-point slack.
-  OASIS_CHECK(acc > 0.0) << "StepFused requires positive total weight";
-  const double target = rng().NextDouble() * acc;
-  size_t k = static_cast<size_t>(
-      std::upper_bound(cdf, cdf + num_strata, target) - cdf);
-  if (k == num_strata) {
-    do {
-      --k;
-    } while (k > 0 && !(FusedMixtureProbability(k, total) > 0.0));
-  }
+  // Lines 4-5: stratum ~ v(t), item uniform within the stratum. The pick is
+  // the first index of the running CDF of v(t) that exceeds u * (its total):
+  // exactly the index Rng::NextDiscreteLinear would return over v(t). The
+  // certified draw reads it off the weight and mass prefix sums in
+  // O(log K) and proves it equal to that exact pick; on the rare step it
+  // cannot (u lands within a rounding bound of a CDF step, or every mass is
+  // zero) the exact pass runs on the same u.
+  const double u = rng().NextDouble();
+  const std::optional<size_t> certified = CertifiedMixtureDraw(
+      setup_->weight_prefix.data(), fused_prefix_.data(), active_epsilon_, u,
+      num_strata);
+  const size_t k = certified ? *certified : ExactFusedDraw(u, total);
   const int64_t item = strata_->SampleItem(k, rng());
 
   // Line 6: importance weight w_t = omega_k / v_k, since p(z) = 1/N and

@@ -31,7 +31,8 @@ enum class OasisStepPath {
   /// Zero-allocation fused O(K) step over precomputed per-stratum constants
   /// and incrementally-maintained posterior means, v* masses and mass
   /// prefix sums: while F-hat is bit-for-bit unchanged only the stratum
-  /// observed on the previous step is recomputed. The default.
+  /// observed on the previous step is recomputed, and the stratum is drawn
+  /// from those prefix sums in O(log K) (CertifiedMixtureDraw). The default.
   kFused,
   /// The original allocating path (PosteriorMeans + OptimalStratified-
   /// Instrumental + EpsilonGreedyMix, one vector each per step). Kept as the
@@ -179,6 +180,9 @@ struct OasisSetup {
   /// The stratum weights normalised exactly as the reference path does when
   /// every v* mass is zero (the degenerate fallback of the fused step).
   std::vector<double> fallback_v_star;
+  /// In-order prefix sums of the stratum weights (the last entry is their
+  /// total): the epsilon half of the fused step's certified draw.
+  std::vector<double> weight_prefix;
 };
 
 /// OASIS — Optimal Asymptotic Sequential Importance Sampling (Algorithm 3).
@@ -305,6 +309,12 @@ class OasisSampler : public Sampler {
   /// under `f`: the full O(K) kernel when f's bits differ from the build
   /// point, otherwise only the stratum observed on the previous step.
   void RefreshFusedMasses(double f);
+  /// The fused step's exact stratum draw for uniform `u`: MixtureCdfKernel
+  /// into v_scratch_, then the first CDF entry above u * (its total), with
+  /// Rng::NextDiscreteLinear's slack fallback. Runs only when
+  /// CertifiedMixtureDraw leaves the draw undecided; counted by
+  /// oasis_sampler_fused_exact_draws_total.
+  size_t ExactFusedDraw(double u, double total);
   /// Probability of stratum k under the epsilon-greedy mixture the fused
   /// step samples from (`total` = the summed v* masses, <= 0 selects the
   /// normalised-weights fallback), with the reference path's exact rounding.
@@ -389,7 +399,9 @@ class OasisSampler : public Sampler {
   bool frozen_ = false;
   std::vector<double> frozen_v_;
   // Scratch buffer reused across iterations to avoid per-step allocation:
-  // the fused step's running CDF of v(t), the Fenwick rebuild's masses.
+  // the running CDF of v(t) that the fused step writes only when its
+  // certified draw is undecided (the exact fallback), the Fenwick rebuild's
+  // masses.
   std::vector<double> v_scratch_;
   // --- Fused-path state --------------------------------------------------
   // Incrementally-maintained posterior means pi-hat_k and their square roots;
@@ -399,7 +411,8 @@ class OasisSampler : public Sampler {
   std::vector<double> pi_cache_;
   std::vector<double> sqrt_pi_cache_;
   // Unnormalised v* masses and their in-order prefix sums (the last entry is
-  // the total), valid under the F-hat whose bit pattern is fused_f_bits_.
+  // the total; the certified draw searches them), valid under the F-hat
+  // whose bit pattern is fused_f_bits_.
   // Between two steps with bit-equal F-hat only the observed stratum's mass
   // moves, so RefreshFusedMasses recomputes that one mass and the prefix
   // from it on. Empty unless step_path == kFused.

@@ -177,20 +177,26 @@ Result<ScenarioRunResult> SummarizeScenarioCurve(
   return result;
 }
 
+Status CheckBudgetReachable(const Oracle& oracle, int64_t budget,
+                            size_t pool_size, const std::string& caller) {
+  if (oracle.deterministic() && budget > static_cast<int64_t>(pool_size)) {
+    return Status::InvalidArgument(
+        caller + ": budget " + std::to_string(budget) +
+        " exceeds the pool size " + std::to_string(pool_size) +
+        "; a deterministic oracle charges each item once");
+  }
+  return Status::OK();
+}
+
 Result<ScenarioRunResult> RunScenario(const datagen::ScenarioPool& pool,
                                       const ScenarioRunOptions& options) {
   OASIS_RETURN_NOT_OK(options.Validate());
   OASIS_ASSIGN_OR_RETURN(const std::unique_ptr<Oracle> oracle,
                          datagen::MakeScenarioOracle(pool));
-  // A deterministic oracle charges each item once (footnote 5), so a budget
-  // above the pool size can never be spent: the trajectory would only stop at
-  // its iteration cap.
-  if (oracle->deterministic() && options.budget > static_cast<int64_t>(pool.scored.size())) {
-    return Status::InvalidArgument(
-        "RunScenario: budget " + std::to_string(options.budget) +
-        " exceeds the pool size " + std::to_string(pool.scored.size()) +
-        "; a deterministic oracle charges each item once");
-  }
+  // An unreachable budget would only stop each trajectory at its iteration
+  // cap.
+  OASIS_RETURN_NOT_OK(CheckBudgetReachable(*oracle, options.budget,
+                                           pool.scored.size(), "RunScenario"));
   OASIS_ASSIGN_OR_RETURN(
       const MethodSpec method,
       MakeMethodByName(options.method, pool.spec.alpha, pool.scored,

@@ -1,6 +1,7 @@
 #ifndef OASIS_EXPERIMENTS_SCENARIO_RUN_H_
 #define OASIS_EXPERIMENTS_SCENARIO_RUN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -9,6 +10,7 @@
 #include "experiments/config.h"
 #include "experiments/runner.h"
 #include "experiments/summary.h"
+#include "oracle/oracle.h"
 
 namespace oasis {
 namespace experiments {
@@ -62,6 +64,12 @@ Result<MethodSpec> MakeMethodByName(const std::string& method, double alpha,
                                     const ScoredPool& pool,
                                     int64_t target_strata,
                                     const std::string& step_path = "fused");
+
+/// OK unless `oracle` is deterministic and `budget` exceeds `pool_size`: such
+/// an oracle charges each item once (footnote 5), so the budget can never be
+/// spent. The InvalidArgument names both numbers, prefixed by `caller`.
+Status CheckBudgetReachable(const Oracle& oracle, int64_t budget,
+                            size_t pool_size, const std::string& caller);
 
 /// Everything one scenario experiment produces: the error curve (for the
 /// curves CSV) and the self-contained run summary (for the JSON sidecar and

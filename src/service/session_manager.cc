@@ -100,6 +100,9 @@ Result<SessionStarted> SessionManager::Start(const SessionSpec& spec) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     OASIS_ASSIGN_OR_RETURN(Backend* backend, GetBackendLocked(spec.scenario));
+    OASIS_RETURN_NOT_OK(experiments::CheckBudgetReachable(
+        *backend->oracle, spec.budget, backend->pool.scored.size(),
+        "StartSession"));
     OASIS_ASSIGN_OR_RETURN(const experiments::MethodSpec* method,
                            GetMethodLocked(backend, spec));
     if (spec.stack.share_labels && backend->store == nullptr) {

@@ -3,8 +3,8 @@
 // across steps and recomputes only the previously observed stratum while
 // F-hat is bit-for-bit unchanged; these tests step both paths side by side
 // and demand the same stratum, weight and estimate at every step — across
-// steps where F-hat moves and steps where it does not, through the all-zero
-// mass fallback, and across a degradation epsilon boost.
+// steps where F-hat moves and steps where it does not, at K = 1, 30 and 1000,
+// through the all-zero mass fallback, and across a degradation epsilon boost.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include "core/oasis.h"
 #include "oracle/ground_truth_oracle.h"
 #include "strata/csf.h"
+#include "strata/equal_size.h"
+#include "telemetry/telemetry.h"
 #include "tests/test_util.h"
 
 namespace oasis {
@@ -57,6 +59,17 @@ std::vector<int64_t> VisitCounts(const OasisSampler& sampler) {
     counts[k] = sampler.model().labels_observed(k);
   }
   return counts;
+}
+
+/// Fused steps that ran the exact CDF pass so far (the certified draw left
+/// them undecided); -1 when telemetry is compiled out.
+int64_t ExactDraws() {
+#if defined(OASIS_TELEMETRY_DISABLED)
+  return -1;
+#else
+  return telemetry::DefaultRegistry().CounterFamilyTotal(
+      "oasis_sampler_fused_exact_draws_total");
+#endif
 }
 
 void ExpectSnapshotsIdentical(const EstimateSnapshot& a,
@@ -111,6 +124,8 @@ TEST(FusedIncrementalTest, MatchesReferenceWhetherOrNotFHatMoves) {
   auto strata = std::make_shared<const Strata>(
       StratifyCsf(pool.scored.scores, 30).ValueOrDie());
 
+  telemetry::ScopedEnable telemetry_on(true);
+  const int64_t exact_before = ExactDraws();
   Probe fused = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
                           OasisStepPath::kFused, 31);
   Probe reference = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
@@ -127,6 +142,39 @@ TEST(FusedIncrementalTest, MatchesReferenceWhetherOrNotFHatMoves) {
                            reference.sampler->Estimate());
   EXPECT_EQ(fused.sampler->labels_consumed(),
             reference.sampler->labels_consumed());
+  // The certified draw, not its exact fallback, decided (almost) every step.
+  EXPECT_LE(ExactDraws() - exact_before, 3);
+}
+
+TEST(FusedIncrementalTest, MatchesReferenceAtOneAndAThousandStrata) {
+  // The certified draw searches prefix sums whose rounding bound grows with
+  // K: check the single-stratum edge and a stratification far wider than
+  // the paper's, where the exact arbiter and the search differ most.
+  testutil::SyntheticPoolOptions pool_options;
+  pool_options.size = 20000;
+  pool_options.seed = 9090;
+  const testutil::SyntheticPool pool = testutil::MakeSyntheticPool(pool_options);
+  GroundTruthOracle oracle(pool.truth);
+  for (size_t num_strata : {size_t{1}, size_t{1000}}) {
+    SCOPED_TRACE(num_strata);
+    auto strata = std::make_shared<const Strata>(
+        StratifyEqualSize(pool.scored.scores, num_strata).ValueOrDie());
+    ASSERT_EQ(strata->num_strata(), num_strata);
+    Probe fused = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
+                            OasisStepPath::kFused, 3 + num_strata);
+    Probe reference = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
+                                OasisStepPath::kAllocatingReference,
+                                3 + num_strata);
+    const StepCounts counts = StepSideBySide(fused, reference, 1500);
+    EXPECT_GT(counts.f_unchanged, 50);
+    EXPECT_GT(counts.f_changed, 50);
+    ASSERT_TRUE(fused.sampler->StepBatch(1000).ok());
+    ASSERT_TRUE(reference.sampler->StepBatch(1000).ok());
+    ExpectSnapshotsIdentical(fused.sampler->Estimate(),
+                             reference.sampler->Estimate());
+    EXPECT_EQ(fused.sampler->labels_consumed(),
+              reference.sampler->labels_consumed());
+  }
 }
 
 TEST(FusedIncrementalTest, AllZeroMassFallbackMatchesReference) {
@@ -149,12 +197,19 @@ TEST(FusedIncrementalTest, AllZeroMassFallbackMatchesReference) {
 
   OasisOptions options;
   options.alpha = 0.0;
+  telemetry::ScopedEnable telemetry_on(true);
+  const int64_t exact_before = ExactDraws();
   Probe fused =
       MakeProbe(scored, oracle, strata, options, OasisStepPath::kFused, 5);
   Probe reference = MakeProbe(scored, oracle, strata, options,
                               OasisStepPath::kAllocatingReference, 5);
   ASSERT_EQ(fused.sampler->initial_f(), 1.0);
   StepSideBySide(fused, reference, 600);
+  // The certified draw cannot decide on a zero total: every step ran the
+  // exact pass, and each was counted.
+  if (exact_before >= 0) {
+    EXPECT_EQ(ExactDraws() - exact_before, 600);
+  }
 
   // The instrumental really is the weights fallback (eps * w + (1 - eps) * w).
   const std::vector<double> v = fused.sampler->CurrentInstrumental().ValueOrDie();

@@ -1,5 +1,6 @@
 // Bit-for-bit checks of the two fused-step kernels in core/mass_kernel.h
-// against their scalar formulas. The fused OASIS step is bit-identical to the
+// against their scalar formulas, and of the certified draw against the exact
+// pick those formulas define. The fused OASIS step is bit-identical to the
 // allocating reference path only because each kernel rounds exactly like the
 // scalar expression it replaces; these tests pin that down directly, over
 // lengths that cover every vector body and tail and over the epsilon values
@@ -11,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/random.h"
@@ -161,6 +165,153 @@ TEST(MixtureCdfKernelTest, FallbackInputMatchesBitForBit) {
 
 TEST(MixtureCdfKernelTest, EmptyInputReturnsZero) {
   EXPECT_EQ(MixtureCdfKernel(nullptr, nullptr, 1.0, 0.1, nullptr, 0), 0.0);
+}
+
+// --- CertifiedMixtureDraw ---------------------------------------------------
+
+constexpr size_t kDrawLengths[] = {1, 2, 3, 30, 1000};
+constexpr double kDrawEpsilons[] = {1e-3, 0.1, 1.0};
+
+/// In-order prefix sums, as OasisSampler keeps them for the weights
+/// (OasisSetup::weight_prefix) and the v* masses (the fused mass prefix).
+std::vector<double> PrefixSums(const std::vector<double>& x) {
+  std::vector<double> prefix(x.size());
+  double acc = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    acc += x[i];
+    prefix[i] = acc;
+  }
+  return prefix;
+}
+
+/// The fused step's exact pick: MixtureCdfKernel, then the first CDF entry
+/// above u * (its total); n when none is (the exact path's slack fallback).
+size_t ExactPick(const std::vector<double>& weights,
+                 const std::vector<double>& masses, double total,
+                 double epsilon, double u) {
+  std::vector<double> cdf(weights.size());
+  const double acc = MixtureCdfKernel(weights.data(), masses.data(), total,
+                                      epsilon, cdf.data(), cdf.size());
+  return static_cast<size_t>(
+      std::upper_bound(cdf.begin(), cdf.end(), u * acc) - cdf.begin());
+}
+
+/// One sampler-shaped draw problem: weights, v* masses spanning many orders
+/// of magnitude (some exactly zero, so the CDF has flat steps in the mass
+/// half) and both prefix sums.
+struct DrawInputs {
+  std::vector<double> weights, masses, weight_prefix, mass_prefix;
+
+  DrawInputs(size_t n, uint64_t seed) {
+    const Inputs in(n, seed);
+    weights = in.weights;
+    const double f = 0.58, a2f2 = 0.25 * f * f, omf2 = (1.0 - f) * (1.0 - f);
+    masses = KernelMasses(in, f, a2f2, omf2);
+    Rng rng(seed ^ 0x5eed);
+    for (size_t i = 0; i < n; ++i) {
+      if (n > 1 && rng.NextBounded(7) == 0) {
+        masses[i] = 0.0;
+      } else {
+        masses[i] = std::ldexp(masses[i], static_cast<int>(rng.NextBounded(41)) - 20);
+      }
+    }
+    if (PrefixSums(masses).back() <= 0.0) masses[0] = 1.0;
+    weight_prefix = PrefixSums(weights);
+    mass_prefix = PrefixSums(masses);
+  }
+
+  double total() const { return mass_prefix.back(); }
+
+  std::optional<size_t> Draw(double epsilon, double u) const {
+    return CertifiedMixtureDraw(weight_prefix.data(), mass_prefix.data(),
+                                epsilon, u, weights.size());
+  }
+
+  /// The estimate r_i the certified draw searches.
+  double Estimate(double epsilon, size_t i) const {
+    return epsilon * weight_prefix[i] +
+           (1.0 - epsilon) * (mass_prefix[i] / total());
+  }
+};
+
+TEST(CertifiedMixtureDrawTest, DecidedDrawsMatchTheExactPick) {
+  for (size_t n : kDrawLengths) {
+    for (double epsilon : kDrawEpsilons) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        const DrawInputs in(n, 1000 * n + seed);
+        Rng rng(seed);
+        const int draws = 4000;
+        int decided = 0;
+        for (int d = 0; d < draws; ++d) {
+          const double u = rng.NextDouble();
+          const std::optional<size_t> k = in.Draw(epsilon, u);
+          if (!k.has_value()) continue;
+          ++decided;
+          ASSERT_EQ(*k, ExactPick(in.weights, in.masses, in.total(), epsilon, u))
+              << "n=" << n << " epsilon=" << epsilon << " seed=" << seed
+              << " u=" << u;
+        }
+        // The margin is a few hundred ulps wide: almost every draw decides.
+        EXPECT_GE(decided, draws - 2)
+            << "n=" << n << " epsilon=" << epsilon << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(CertifiedMixtureDrawTest, TargetsOnOrNextToACdfStepAreUndecided) {
+  // u * r_{n-1} landing exactly on some r_j, or one ulp of u either side of
+  // it, is where the estimate and the exact CDF can round to different
+  // picks: the draw must defer to the exact pass.
+  for (size_t n : kDrawLengths) {
+    for (double epsilon : kDrawEpsilons) {
+      const DrawInputs in(n, 77 + n);
+      const double last = in.Estimate(epsilon, n - 1);
+      int landed = 0;
+      for (size_t j = 0; j < n; ++j) {
+        const double r_j = in.Estimate(epsilon, j);
+        // Nudge u until u * last rounds onto r_j (when some u in [0, 1) does).
+        double u = std::min(r_j / last, std::nextafter(1.0, 0.0));
+        for (int step = 0; step < 8 && u * last != r_j; ++step) {
+          u = u * last < r_j ? std::nextafter(u, 2.0) : std::nextafter(u, -1.0);
+        }
+        if (u * last == r_j && u < 1.0) ++landed;
+        for (double probe : {std::nextafter(u, -1.0), u, std::nextafter(u, 2.0)}) {
+          if (!(probe >= 0.0 && probe < 1.0)) continue;
+          EXPECT_FALSE(in.Draw(epsilon, probe).has_value())
+              << "n=" << n << " epsilon=" << epsilon << " j=" << j
+              << " u=" << probe << " (target " << probe * last
+              << ", r_j " << r_j << ")";
+        }
+      }
+      // Every step but the last (u would be 1) is hit exactly, up to the
+      // rare flat step shared with its neighbour.
+      EXPECT_GE(landed, static_cast<int>(n) - 1 - static_cast<int>(n) / 10)
+          << "n=" << n << " epsilon=" << epsilon;
+    }
+  }
+}
+
+TEST(CertifiedMixtureDrawTest, DegenerateTotalsAreUndecided) {
+  const size_t n = 30;
+  const std::vector<double> weight_prefix = PrefixSums(Inputs(n, 9).weights);
+  const auto draw = [&](const std::vector<double>& masses) {
+    const std::vector<double> mass_prefix = PrefixSums(masses);
+    return CertifiedMixtureDraw(weight_prefix.data(), mass_prefix.data(), 0.1,
+                                0.5, n);
+  };
+  EXPECT_FALSE(draw(std::vector<double>(n, 0.0)).has_value());
+  EXPECT_FALSE(draw(std::vector<double>(n, std::numeric_limits<double>::denorm_min()))
+                   .has_value());
+  std::vector<double> masses(n, 1.0);
+  masses[7] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(draw(masses).has_value());
+  masses[7] = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(draw(masses).has_value());
+  masses[7] = 1.0;
+  EXPECT_TRUE(draw(masses).has_value());
+  EXPECT_FALSE(
+      CertifiedMixtureDraw(nullptr, nullptr, 0.1, 0.5, 0).has_value());
 }
 
 }  // namespace

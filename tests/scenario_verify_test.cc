@@ -261,7 +261,7 @@ TEST(ScenarioVerifyTest, BudgetBeyondADeterministicPoolIsRejected) {
   const Result<ScenarioRunResult> result = RunScenario(pool, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  const std::string& message = result.status().message();
+  const std::string message = result.status().message();
   EXPECT_NE(message.find(std::to_string(options.budget)), std::string::npos)
       << message;
   EXPECT_NE(message.find(std::to_string(pool.scored.size())),

@@ -384,6 +384,39 @@ TEST(SessionServer, ProtocolErrorsBecomeErrorReplies) {
   EXPECT_EQ(manager.ActiveSessions(), 0);
 }
 
+// A deterministic scenario oracle charges each item once, so a budget one
+// above the pool size is unreachable and Start must reject it, naming both
+// numbers; a noisy oracle charges every query, so the same budget is fine.
+TEST(SessionServer, BudgetBeyondADeterministicPoolIsRejected) {
+  SessionManager manager;
+  const int64_t pool_size =
+      datagen::ScenarioByName(kScenario).ValueOrDie().pool_size;
+  SessionSpec spec = MakeSpec("oasis", pool_size + 1, 1000, 0);
+  const Result<SessionStarted> rejected = manager.Start(spec);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = rejected.status().message();
+  EXPECT_NE(message.find(std::to_string(pool_size + 1)), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(std::to_string(pool_size)), std::string::npos)
+      << message;
+  EXPECT_EQ(manager.ActiveSessions(), 0);
+
+  spec.budget = pool_size;
+  EXPECT_TRUE(manager.Start(spec).ok());
+}
+
+TEST(SessionServer, BudgetBeyondANoisyPoolIsAllowed) {
+  SessionManager manager;
+  const int64_t pool_size =
+      datagen::ScenarioByName("noisy-flip05").ValueOrDie().pool_size;
+  SessionSpec spec = MakeSpec("passive", pool_size + 1, 1000, 0);
+  spec.scenario = "noisy-flip05";
+  const Result<SessionStarted> started = manager.Start(spec);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  EXPECT_EQ(manager.ActiveSessions(), 1);
+}
+
 }  // namespace
 }  // namespace service
 }  // namespace oasis
