@@ -67,20 +67,14 @@ Status TelemetrySession::Finish() {
   return Status::OK();
 }
 
-int64_t TelemetrySession::ChargedLabelsNow() {
-  const telemetry::Counter* labels =
-      telemetry::DefaultRegistry().FindCounter("oasis_labelcache_misses_total");
-  return labels != nullptr ? labels->value() : 0;
-}
-
-std::string FormatElapsed(double seconds, int64_t labels_delta) {
+std::string FormatElapsed(double seconds, int64_t labels) {
   char buffer[128];
   std::snprintf(buffer, sizeof(buffer), "elapsed %.2fs", seconds);
   std::string line = buffer;
-  if (labels_delta > 0 && seconds > 0.0) {
+  if (labels > 0 && seconds > 0.0) {
     std::snprintf(buffer, sizeof(buffer), " (%lld labels, %.0f labels/s)",
-                  static_cast<long long>(labels_delta),
-                  static_cast<double>(labels_delta) / seconds);
+                  static_cast<long long>(labels),
+                  static_cast<double>(labels) / seconds);
     line += buffer;
   }
   return line;

@@ -57,10 +57,6 @@ class TelemetrySession {
   // Idempotent; the destructor restores the enabled state without writing.
   Status Finish();
 
-  // Charged oracle labels so far (`oasis_labelcache_misses_total`), or 0
-  // when telemetry is off — the counter behind the labels/sec prints.
-  static int64_t ChargedLabelsNow();
-
  private:
   experiments::CommonFlags flags_;
   bool previous_enabled_ = false;
@@ -68,8 +64,8 @@ class TelemetrySession {
   std::optional<telemetry::Heartbeat> heartbeat_;
 };
 
-// "elapsed 1.23s" plus " (N labels, M labels/s)" when labels_delta > 0.
-std::string FormatElapsed(double seconds, int64_t labels_delta);
+// "elapsed 1.23s" plus " (N labels, M labels/s)" when labels > 0.
+std::string FormatElapsed(double seconds, int64_t labels);
 
 }  // namespace apps
 }  // namespace oasis

@@ -18,7 +18,7 @@
 //   <out-prefix>.curves.csv    the 9-column error curve
 //   <out-prefix>.summary.json  the verification-ready run summary
 // and prints the final-budget statistics plus elapsed time / labels per
-// second from the telemetry registry.
+// second over the labels the repeats charged.
 //
 // Observability flags (docs/TELEMETRY.md): --metrics-out=<path>,
 // --trace-out=<path>, --heartbeat=<seconds>, --no-telemetry.
@@ -37,8 +37,10 @@ namespace oasis {
 namespace apps {
 namespace {
 
-Status RunFromConfig(const std::string& config_path, const std::string& prefix,
-                     const experiments::CommonFlags& flags) {
+// Returns the labels the run's repeats charged.
+Result<int64_t> RunFromConfig(const std::string& config_path,
+                              const std::string& prefix,
+                              const experiments::CommonFlags& flags) {
   OASIS_ASSIGN_OR_RETURN(const experiments::ConfigMap config,
                          experiments::ConfigMap::ParseFile(config_path));
   datagen::ScenarioSpec spec;
@@ -85,7 +87,7 @@ Status RunFromConfig(const std::string& config_path, const std::string& prefix,
   }
   std::printf("wrote %s.curves.csv and %s.summary.json\n", prefix.c_str(),
               prefix.c_str());
-  return Status::OK();
+  return result.curve.labels_consumed;
 }
 
 int Main(int argc, char** argv) {
@@ -108,18 +110,13 @@ int Main(int argc, char** argv) {
   TelemetrySession telemetry(flags_or.ValueOrDie());
 
   const auto start = std::chrono::steady_clock::now();
-  const int64_t labels_before = TelemetrySession::ChargedLabelsNow();
-  const Status status = RunFromConfig(args.positional()[0],
-                                      args.positional()[1],
-                                      flags_or.ValueOrDie());
-  if (!status.ok()) return FailWith(status);
+  const Result<int64_t> labels = RunFromConfig(
+      args.positional()[0], args.positional()[1], flags_or.ValueOrDie());
+  if (!labels.ok()) return FailWith(labels.status());
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  std::printf("%s\n",
-              FormatElapsed(elapsed, TelemetrySession::ChargedLabelsNow() -
-                                         labels_before)
-                  .c_str());
+  std::printf("%s\n", FormatElapsed(elapsed, labels.ValueOrDie()).c_str());
   const Status telemetry_status = telemetry.Finish();
   if (!telemetry_status.ok()) return FailWith(telemetry_status);
   return kExitOk;

@@ -17,10 +17,10 @@
 // same config (the determinism contract; tests/session_server_test.cc holds
 // it at 1000 sessions). Every exchange goes through the full wire encoding
 // (InProcessTransport), so this app drives exactly the bytes a socket peer
-// would. CheckpointAck trajectories fold into an ErrorCurve with the batch
-// runner's exact RunningStats sequence (estimate columns only — per-session
-// cost/fault columns stay in the telemetry registry), then flow through the
-// same summary path oasis_run uses:
+// would. CheckpointAck trajectories fold into an ErrorCurve through the batch
+// runner's CurveReducer (estimate columns only — per-session cost/fault
+// columns stay in the telemetry registry), then flow through the same summary
+// path oasis_run uses:
 //   <out-prefix>.curves.csv    the aggregated error curve
 //   <out-prefix>.summary.json  verification-ready summary (oasis_verify)
 //
@@ -28,7 +28,6 @@
 // --trace-out=<path>, --heartbeat=<seconds>, --no-telemetry.
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -42,7 +41,6 @@
 #include "experiments/summary.h"
 #include "service/client.h"
 #include "service/session_manager.h"
-#include "stats/running_stats.h"
 
 namespace oasis {
 namespace apps {
@@ -51,65 +49,8 @@ namespace {
 struct ServeStats {
   int64_t sessions = 0;
   int64_t requests = 0;
+  int64_t labels = 0;
 };
-
-/// Folds the per-session checkpoint trajectories into an ErrorCurve with the
-/// batch runner's reduction: RunningStats::Add in stream (= repeat) order,
-/// defined-only estimate columns, finals from the last checkpoint slot.
-Result<experiments::ErrorCurve> FoldCurve(
-    const std::string& method_name, const experiments::ScenarioRunOptions& options,
-    double true_f, const std::vector<service::CheckpointAck>& acks) {
-  std::vector<int64_t> grid;
-  for (int64_t b = options.checkpoint_every; b <= options.budget;
-       b += options.checkpoint_every) {
-    grid.push_back(b);
-  }
-  const size_t num_checkpoints = grid.size();
-  for (const service::CheckpointAck& ack : acks) {
-    if (ack.budgets.size() != num_checkpoints) {
-      return Status::Internal(
-          "oasis_serve: session " + std::to_string(ack.session) + " reached " +
-          std::to_string(ack.budgets.size()) + " of " +
-          std::to_string(num_checkpoints) + " checkpoints (not done?)");
-    }
-  }
-
-  std::vector<RunningStats> abs_error(num_checkpoints);
-  std::vector<RunningStats> estimate(num_checkpoints);
-  std::vector<int64_t> defined_count(num_checkpoints, 0);
-  for (const service::CheckpointAck& ack : acks) {
-    for (size_t i = 0; i < num_checkpoints; ++i) {
-      if (ack.f_defined[i] == 0) continue;
-      const double f = ack.f_alpha[i];
-      abs_error[i].Add(std::abs(f - true_f));
-      estimate[i].Add(f);
-      ++defined_count[i];
-    }
-  }
-
-  experiments::ErrorCurve curve;
-  curve.method = method_name;
-  curve.repeats = static_cast<int>(acks.size());
-  curve.budgets = std::move(grid);
-  curve.mean_abs_error.resize(num_checkpoints);
-  curve.stddev.resize(num_checkpoints);
-  curve.mean_estimate.resize(num_checkpoints);
-  curve.frac_defined.resize(num_checkpoints);
-  for (size_t i = 0; i < num_checkpoints; ++i) {
-    curve.mean_abs_error[i] = abs_error[i].mean();
-    curve.stddev[i] = estimate[i].stddev();
-    curve.mean_estimate[i] = estimate[i].mean();
-    curve.frac_defined[i] = static_cast<double>(defined_count[i]) /
-                            static_cast<double>(acks.size());
-  }
-  curve.final_estimates.reserve(acks.size());
-  curve.final_defined.reserve(acks.size());
-  for (const service::CheckpointAck& ack : acks) {
-    curve.final_estimates.push_back(ack.f_alpha.back());
-    curve.final_defined.push_back(ack.f_defined.back());
-  }
-  return curve;
-}
 
 Result<ServeStats> ServeFromConfig(const std::string& config_path,
                                    const std::string& prefix,
@@ -133,6 +74,14 @@ Result<ServeStats> ServeFromConfig(const std::string& config_path,
         "serve config: request_slice must be >= 0");
   }
   OASIS_RETURN_NOT_OK(config.CheckAllKeysUsed());
+  // Sessions always step the default fused path (SessionSpec carries no step
+  // path), so any other step_path would leave the summary's degeneracy probe
+  // replaying a different sampler than the one behind the curve.
+  if (options.step_path != "fused") {
+    return Status::InvalidArgument(
+        "serve config: step_path '" + options.step_path +
+        "' is not supported (sessions run the fused step path)");
+  }
   // CLI overrides beat the config file (shared --threads/--seed semantics).
   if (flags.threads.has_value()) {
     options.num_threads = static_cast<int>(*flags.threads);
@@ -223,12 +172,20 @@ Result<ServeStats> ServeFromConfig(const std::string& config_path,
       const experiments::MethodSpec method,
       experiments::MakeMethodByName(options.method, pool.spec.alpha,
                                     pool.scored, options.target_strata));
-  OASIS_ASSIGN_OR_RETURN(
-      experiments::ErrorCurve curve,
-      FoldCurve(method.name, options, pool.true_f, acks));
+  TrajectoryOptions grid;
+  grid.budget = options.budget;
+  grid.checkpoint_every = options.checkpoint_every;
+  experiments::CurveReducer reducer(CheckpointGrid(grid), acks.size(),
+                                    /*remote=*/false, /*fault=*/false);
+  for (size_t i = 0; i < acks.size(); ++i) {
+    OASIS_RETURN_NOT_OK(reducer.RecordEstimates(
+        i, acks[i].f_alpha, acks[i].f_defined, acks[i].labels_consumed));
+  }
   OASIS_ASSIGN_OR_RETURN(
       const experiments::ScenarioRunResult result,
-      experiments::SummarizeScenarioCurve(pool, options, std::move(curve)));
+      experiments::SummarizeScenarioCurve(
+          pool, options, reducer.Reduce(method.name, pool.true_f)));
+  stats.labels = result.curve.labels_consumed;
 
   OASIS_RETURN_NOT_OK(
       experiments::WriteCurvesCsv(prefix + ".curves.csv", {result.curve}));
@@ -271,7 +228,6 @@ int Main(int argc, char** argv) {
   TelemetrySession telemetry(flags_or.ValueOrDie());
 
   const auto start = std::chrono::steady_clock::now();
-  const int64_t labels_before = TelemetrySession::ChargedLabelsNow();
   const Result<ServeStats> stats = ServeFromConfig(
       args.positional()[0], args.positional()[1], flags_or.ValueOrDie());
   if (!stats.ok()) return FailWith(stats.status());
@@ -281,9 +237,7 @@ int Main(int argc, char** argv) {
   std::printf("served %lld sessions over %lld requests; %s\n",
               static_cast<long long>(stats.ValueOrDie().sessions),
               static_cast<long long>(stats.ValueOrDie().requests),
-              FormatElapsed(elapsed, TelemetrySession::ChargedLabelsNow() -
-                                         labels_before)
-                  .c_str());
+              FormatElapsed(elapsed, stats.ValueOrDie().labels).c_str());
   const Status telemetry_status = telemetry.Finish();
   if (!telemetry_status.ok()) return FailWith(telemetry_status);
   return kExitOk;

@@ -107,7 +107,6 @@ Result<SweepOutcome> RunSweep(const std::string& config_path,
         options.budget = budget;
         if (options.checkpoint_every > budget) options.checkpoint_every = budget;
         const auto cell_start = std::chrono::steady_clock::now();
-        const int64_t labels_before = TelemetrySession::ChargedLabelsNow();
         OASIS_ASSIGN_OR_RETURN(const experiments::ScenarioRunResult result,
                                experiments::RunScenario(pool, options));
         const double cell_seconds =
@@ -118,9 +117,7 @@ Result<SweepOutcome> RunSweep(const std::string& config_path,
                                    method + "__" + std::to_string(budget);
         std::fprintf(stderr, "%s %s budget=%lld: %s\n", scenario_name.c_str(),
                      method.c_str(), static_cast<long long>(budget),
-                     FormatElapsed(cell_seconds,
-                                   TelemetrySession::ChargedLabelsNow() -
-                                       labels_before)
+                     FormatElapsed(cell_seconds, result.curve.labels_consumed)
                          .c_str());
         OASIS_RETURN_NOT_OK(experiments::WriteCurvesCsv(prefix + ".curves.csv",
                                                         {result.curve}));

@@ -168,7 +168,7 @@ int main() {
   options.repeats = 20;
   options.trajectory.budget = 1500;
   options.trajectory.checkpoint_every = 300;
-  options.remote_oracle = CrowdPlatform();
+  options.stack.remote = CrowdPlatform();
 
   experiments::TextTable curve_table({"labels", "|err| (solo)", "cost (solo)",
                                       "|err| (shared)", "cost (shared)",
@@ -182,7 +182,7 @@ int main() {
     return 1;
   }
   const experiments::ErrorCurve solo = std::move(solo_result).ValueOrDie();
-  options.remote_share_labels = true;
+  options.stack.share_labels = true;
   auto shared_result =
       experiments::RunErrorCurve(method, pool, expert, exact.f_alpha, options);
   if (!shared_result.ok()) {
@@ -202,7 +202,7 @@ int main() {
   }
   curve_table.Print(std::cout);
   std::printf(
-      "\nWith remote_share_labels the repeats pool their fetches through one\n"
+      "\nWith stack.share_labels the repeats pool their fetches through one\n"
       "SharedLabelStore: an item labelled in any repeat is never re-bought,\n"
       "so the per-repeat cost of the SAME error curve drops (the error\n"
       "columns agree bit-for-bit — sharing changes who pays, never what is\n"

@@ -4,11 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <mutex>
+#include <optional>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "stats/confidence.h"
-#include "stats/running_stats.h"
 #include "telemetry/telemetry.h"
 
 namespace oasis {
@@ -88,121 +89,41 @@ MethodSpec MakeOasisSpec(const OasisOptions& options,
 
 namespace {
 
-/// Raw per-checkpoint outcome of one repeat, written by the worker that ran
-/// it into a preallocated slot. Keeping raw estimates (rather than partially
-/// reduced statistics) is what makes the final reduction independent of
-/// which worker ran which repeat: the fold happens later, in repeat order.
-struct RepeatSlots {
-  /// f_alpha per (repeat, checkpoint), flattened repeat-major.
-  std::vector<double> f_alpha;
-  /// 1 when F-hat was defined at that (repeat, checkpoint).
-  std::vector<uint8_t> defined;
-  /// Remote-oracle cost per (repeat, checkpoint); allocated only when the
-  /// run prices labels (RunnerOptions::remote_oracle).
-  std::vector<double> round_trips;
-  std::vector<double> simulated_seconds;
-  std::vector<double> label_cost;
-  /// Retry recovery per (repeat, checkpoint); allocated only when the run
-  /// retries failures (RunnerOptions::retry_policy).
-  std::vector<double> retries;
-  std::vector<double> give_ups;
-  /// Effective sample size per (repeat, checkpoint); always allocated (cheap)
-  /// since whether the sampler monitors weights is only known once built.
-  std::vector<double> ess;
-  size_t checkpoints = 0;
-
-  RepeatSlots(size_t repeats, size_t num_checkpoints, bool remote, bool fault)
-      : f_alpha(repeats * num_checkpoints, 0.0),
-        defined(repeats * num_checkpoints, 0),
-        ess(repeats * num_checkpoints, 0.0),
-        checkpoints(num_checkpoints) {
-    if (remote) {
-      round_trips.assign(repeats * num_checkpoints, 0.0);
-      simulated_seconds.assign(repeats * num_checkpoints, 0.0);
-      label_cost.assign(repeats * num_checkpoints, 0.0);
-    }
-    if (fault) {
-      retries.assign(repeats * num_checkpoints, 0.0);
-      give_ups.assign(repeats * num_checkpoints, 0.0);
-    }
-  }
-
-  size_t index(size_t repeat, size_t checkpoint) const {
-    return repeat * checkpoints + checkpoint;
-  }
-};
-
-/// Runs one repeat and writes its trajectory into the repeat's slots.
-/// Stepping goes through RunTrajectory and hence Sampler::StepBatch, so every
-/// repeat uses the samplers' amortised batch hot paths. Workers touch only
-/// shared-immutable state (pool, oracle, method) plus this repeat's slot
-/// range — the hot path takes no locks.
+/// Runs one repeat and records its trajectory into the reducer. Stepping
+/// goes through RunTrajectory and hence Sampler::StepBatch, so every repeat
+/// uses the samplers' amortised batch hot paths. Workers touch only
+/// shared-immutable state (pool, oracle, method) plus this repeat's reducer
+/// slots — the hot path takes no locks.
 ///
 /// The repeat's oracle decorator stack (base <- faults <- remote <- retries,
-/// whichever layers `spec` configures) is built per repeat through
+/// whichever layers `options.stack` configures) is built per repeat through
 /// OracleStackBuilder with ForkSeeds(repeat), so chaos/jitter streams are
 /// decorrelated across repeats while the cost accounting — like the
 /// LabelCache — is owned by the repeat and therefore deterministic whatever
 /// the fan-out does. `store` (nullable) is the run-wide SharedLabelStore of
-/// spec.share_labels. `degeneracy_seen` is flipped when the sampler exposed
-/// a weight monitor (only known once the sampler is built).
+/// stack.share_labels.
 Status RunOneRepeat(const MethodSpec& method, const ScoredPool& pool,
-                    const Oracle& oracle, const StackSpec& spec,
-                    const RunnerOptions& options, Rng rng, size_t repeat,
-                    RepeatSlots* slots, SharedLabelStore* store,
-                    std::atomic<bool>* degeneracy_seen) {
+                    const Oracle& oracle, const RunnerOptions& options,
+                    size_t repeat, SharedLabelStore* store,
+                    CurveReducer* reducer) {
   TELEMETRY_SPAN("repeat", "runner");
+  const StackSpec& spec = options.stack;
   OASIS_ASSIGN_OR_RETURN(const OracleStack stack,
                          OracleStackBuilder(spec)
                              .ShareLabels(spec.share_labels ? store : nullptr)
                              .ForkSeeds(static_cast<uint64_t>(repeat))
                              .Build(&oracle));
   LabelCache labels(&stack.top());
-  OASIS_ASSIGN_OR_RETURN(std::unique_ptr<Sampler> sampler,
-                         method.factory(&pool, &labels, rng));
-  OASIS_ASSIGN_OR_RETURN(Trajectory trajectory,
+  OASIS_ASSIGN_OR_RETURN(
+      std::unique_ptr<Sampler> sampler,
+      method.factory(&pool, &labels,
+                     Rng::Fork(options.base_seed, static_cast<uint64_t>(repeat))));
+  OASIS_ASSIGN_OR_RETURN(const Trajectory trajectory,
                          RunTrajectory(*sampler, options.trajectory));
-  OASIS_CHECK_EQ(trajectory.snapshots.size(), slots->checkpoints);
-  for (size_t i = 0; i < trajectory.snapshots.size(); ++i) {
-    const EstimateSnapshot& snap = trajectory.snapshots[i];
-    const size_t slot = slots->index(repeat, i);
-    slots->f_alpha[slot] = snap.f_alpha;
-    slots->defined[slot] = snap.f_defined ? 1 : 0;
-    if (trajectory.has_remote_stats && !slots->round_trips.empty()) {
-      slots->round_trips[slot] =
-          static_cast<double>(trajectory.remote_round_trips[i]);
-      slots->simulated_seconds[slot] = trajectory.remote_seconds[i];
-      slots->label_cost[slot] = trajectory.remote_cost[i];
-    }
-    if (trajectory.has_fault_stats && !slots->retries.empty()) {
-      slots->retries[slot] = static_cast<double>(trajectory.oracle_retries[i]);
-      slots->give_ups[slot] = static_cast<double>(trajectory.oracle_give_ups[i]);
-    }
-    if (trajectory.has_degeneracy_stats) {
-      slots->ess[slot] = trajectory.ess[i];
-    }
-  }
-  if (trajectory.has_degeneracy_stats) {
-    degeneracy_seen->store(true, std::memory_order_release);
-  }
-  return Status::OK();
+  return reducer->Record(repeat, trajectory);
 }
 
 }  // namespace
-
-StackSpec EffectiveStackSpec(const RunnerOptions& options) {
-  StackSpec spec = options.stack;
-  if (!spec.fault_injection.has_value()) {
-    spec.fault_injection = options.fault_injection;
-  }
-  if (!spec.remote.has_value()) spec.remote = options.remote_oracle;
-  if (!spec.retry.has_value()) spec.retry = options.retry_policy;
-  // Sharing is meaningful only with a wire to share; normalising here keeps
-  // the historical tolerance for remote_share_labels without remote_oracle.
-  spec.share_labels = spec.remote.has_value() &&
-                      (spec.share_labels || options.remote_share_labels);
-  return spec;
-}
 
 Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
                                       const std::string& prefix) {
@@ -400,13 +321,8 @@ Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& poo
   }
   OASIS_RETURN_NOT_OK(pool.Validate());
 
-  // Derive checkpoint count once, to shape the result slots.
-  size_t num_checkpoints = 0;
-  for (int64_t b = options.trajectory.checkpoint_every;
-       b <= options.trajectory.budget; b += options.trajectory.checkpoint_every) {
-    ++num_checkpoints;
-  }
-  if (num_checkpoints == 0) {
+  std::vector<int64_t> grid = CheckpointGrid(options.trajectory);
+  if (grid.empty()) {
     return Status::InvalidArgument("RunErrorCurve: no checkpoints in budget");
   }
 
@@ -427,16 +343,14 @@ Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& poo
   TELEMETRY_SPAN("run_error_curve", "runner");
 
   const size_t repeats = static_cast<size_t>(options.repeats);
-  const StackSpec stack_spec = EffectiveStackSpec(options);
-  const bool remote = stack_spec.remote.has_value();
-  const bool fault = stack_spec.retry.has_value();
-  RepeatSlots slots(repeats, num_checkpoints, remote, fault);
-  std::atomic<bool> degeneracy_seen{false};
+  CurveReducer reducer(std::move(grid), repeats,
+                       options.stack.remote.has_value(),
+                       options.stack.retry.has_value());
   // Run-wide shared label store: any repeat's fetched label answers every
   // later request for that item, from any repeat (sound only for
   // deterministic RNG-free oracles; RemoteOracle enforces the gate).
   std::unique_ptr<SharedLabelStore> store;
-  if (stack_spec.share_labels) {
+  if (options.stack.share_labels) {
     store = std::make_unique<SharedLabelStore>(oracle.num_items());
   }
   std::vector<Status> repeat_status(repeats);
@@ -469,10 +383,8 @@ Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& poo
       in_flight->Add(1.0);
     }
     const Status status =
-        RunOneRepeat(method, pool, oracle, stack_spec, options,
-                     Rng::Fork(options.base_seed, static_cast<uint64_t>(repeat)),
-                     static_cast<size_t>(repeat), &slots, store.get(),
-                     &degeneracy_seen);
+        RunOneRepeat(method, pool, oracle, options, static_cast<size_t>(repeat),
+                     store.get(), &reducer);
     if (in_flight != nullptr) {
       in_flight->Add(-1.0);
       static telemetry::Counter& repeats_done =
@@ -508,96 +420,7 @@ Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& poo
   // This reproduces the historical sequential runner's arithmetic exactly —
   // same RunningStats::Add sequence — whatever the fan-out above did.
   TELEMETRY_SPAN("reduce", "runner");
-  std::vector<RunningStats> abs_error(num_checkpoints);
-  std::vector<RunningStats> estimate(num_checkpoints);
-  std::vector<int64_t> defined_count(num_checkpoints, 0);
-  // Cost columns fold over ALL repeats (a repeat pays for its labels whether
-  // or not its estimate is defined yet), also in repeat order.
-  std::vector<RunningStats> round_trips(remote ? num_checkpoints : 0);
-  std::vector<RunningStats> simulated_seconds(remote ? num_checkpoints : 0);
-  std::vector<RunningStats> label_cost(remote ? num_checkpoints : 0);
-  const bool degeneracy = degeneracy_seen.load(std::memory_order_acquire);
-  std::vector<RunningStats> retries(fault ? num_checkpoints : 0);
-  std::vector<RunningStats> give_ups(fault ? num_checkpoints : 0);
-  std::vector<RunningStats> ess(degeneracy ? num_checkpoints : 0);
-  for (size_t r = 0; r < repeats; ++r) {
-    for (size_t i = 0; i < num_checkpoints; ++i) {
-      const size_t slot = slots.index(r, i);
-      if (remote) {
-        round_trips[i].Add(slots.round_trips[slot]);
-        simulated_seconds[i].Add(slots.simulated_seconds[slot]);
-        label_cost[i].Add(slots.label_cost[slot]);
-      }
-      if (fault) {
-        retries[i].Add(slots.retries[slot]);
-        give_ups[i].Add(slots.give_ups[slot]);
-      }
-      if (degeneracy) {
-        ess[i].Add(slots.ess[slot]);
-      }
-      if (slots.defined[slot] == 0) continue;
-      const double f = slots.f_alpha[slot];
-      abs_error[i].Add(std::abs(f - true_f));
-      estimate[i].Add(f);
-      ++defined_count[i];
-    }
-  }
-
-  ErrorCurve curve;
-  curve.method = method.name;
-  curve.repeats = options.repeats;
-  for (int64_t b = options.trajectory.checkpoint_every;
-       b <= options.trajectory.budget; b += options.trajectory.checkpoint_every) {
-    curve.budgets.push_back(b);
-  }
-  curve.mean_abs_error.resize(num_checkpoints);
-  curve.stddev.resize(num_checkpoints);
-  curve.mean_estimate.resize(num_checkpoints);
-  curve.frac_defined.resize(num_checkpoints);
-  for (size_t i = 0; i < num_checkpoints; ++i) {
-    curve.mean_abs_error[i] = abs_error[i].mean();
-    curve.stddev[i] = estimate[i].stddev();
-    curve.mean_estimate[i] = estimate[i].mean();
-    curve.frac_defined[i] = static_cast<double>(defined_count[i]) /
-                            static_cast<double>(options.repeats);
-  }
-  if (remote) {
-    curve.has_remote_cost = true;
-    curve.mean_round_trips.resize(num_checkpoints);
-    curve.mean_simulated_seconds.resize(num_checkpoints);
-    curve.mean_label_cost.resize(num_checkpoints);
-    for (size_t i = 0; i < num_checkpoints; ++i) {
-      curve.mean_round_trips[i] = round_trips[i].mean();
-      curve.mean_simulated_seconds[i] = simulated_seconds[i].mean();
-      curve.mean_label_cost[i] = label_cost[i].mean();
-    }
-  }
-  if (fault) {
-    curve.has_fault_stats = true;
-    curve.mean_retries.resize(num_checkpoints);
-    curve.mean_give_ups.resize(num_checkpoints);
-    for (size_t i = 0; i < num_checkpoints; ++i) {
-      curve.mean_retries[i] = retries[i].mean();
-      curve.mean_give_ups[i] = give_ups[i].mean();
-    }
-  }
-  if (degeneracy) {
-    curve.has_degeneracy_stats = true;
-    curve.mean_ess.resize(num_checkpoints);
-    for (size_t i = 0; i < num_checkpoints; ++i) {
-      curve.mean_ess[i] = ess[i].mean();
-    }
-  }
-  // Raw final-checkpoint estimates in repeat order, for dispersion/coverage
-  // consumers that need more than the aggregates above.
-  curve.final_estimates.resize(repeats);
-  curve.final_defined.resize(repeats);
-  for (size_t r = 0; r < repeats; ++r) {
-    const size_t slot = slots.index(r, num_checkpoints - 1);
-    curve.final_estimates[r] = slots.f_alpha[slot];
-    curve.final_defined[r] = slots.defined[slot];
-  }
-  return curve;
+  return reducer.Reduce(method.name, true_f);
 }
 
 Result<FinalErrorSummary> RunFinalError(const MethodSpec& method,

@@ -4,19 +4,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/oasis.h"
 #include "experiments/config.h"
-#include "oracle/fault_injecting_oracle.h"
+#include "experiments/curve_reducer.h"
 #include "oracle/oracle.h"
 #include "oracle/oracle_stack.h"
-#include "oracle/remote_oracle.h"
-#include "oracle/retry_policy.h"
 #include "sampling/importance.h"
 #include "sampling/passive.h"
 #include "sampling/sampler.h"
@@ -57,63 +53,6 @@ MethodSpec MakeImportanceSpec(const ImportanceOptions& options);
 /// pool returns InvalidArgument, so build one spec per pool.
 MethodSpec MakeOasisSpec(const OasisOptions& options,
                          std::shared_ptr<const Strata> strata);
-
-/// Aggregated error statistics of one method on one pool, indexed by label
-/// budget — the data behind each curve of the paper's Figure 2.
-struct ErrorCurve {
-  /// Method name ("Passive", "OASIS-30", ...).
-  std::string method;
-  /// Checkpoint label budgets (the curve's x axis).
-  std::vector<int64_t> budgets;
-  /// E|F-hat - F| over repeats whose estimate was defined at the checkpoint.
-  std::vector<double> mean_abs_error;
-  /// Standard deviation of the estimates across (defined) repeats.
-  std::vector<double> stddev;
-  /// Mean estimate across (defined) repeats.
-  std::vector<double> mean_estimate;
-  /// Fraction of repeats whose estimate was defined at the checkpoint; the
-  /// paper starts plotting once this exceeds 0.95.
-  std::vector<double> frac_defined;
-  /// Number of repeats aggregated.
-  int repeats = 0;
-
-  /// True when the run priced labels through RunnerOptions::remote_oracle:
-  /// the three cost series below are populated (same length as budgets) and
-  /// give alternative x axes — error against simulated round trips, hours,
-  /// or dollars instead of bare label counts.
-  bool has_remote_cost = false;
-  /// Mean (over repeats) cumulative round trips at each checkpoint.
-  std::vector<double> mean_round_trips;
-  /// Mean (over repeats) cumulative simulated latency, seconds.
-  std::vector<double> mean_simulated_seconds;
-  /// Mean (over repeats) cumulative monetary label cost.
-  std::vector<double> mean_label_cost;
-
-  /// True when the run retried oracle failures (RunnerOptions::retry_policy):
-  /// the two recovery series below are populated (same length as budgets) —
-  /// how much repair work the fault-tolerant stack did to deliver the error
-  /// statistics above (docs/FAULT_MODEL.md).
-  bool has_fault_stats = false;
-  /// Mean (over repeats) cumulative retry attempts at each checkpoint.
-  std::vector<double> mean_retries;
-  /// Mean (over repeats) cumulative gave-up oracle calls at each checkpoint.
-  std::vector<double> mean_give_ups;
-
-  /// True when the method's sampler exposes a DegeneracyMonitor: `mean_ess`
-  /// is populated (same length as budgets).
-  bool has_degeneracy_stats = false;
-  /// Mean (over repeats) effective sample size at each checkpoint.
-  std::vector<double> mean_ess;
-
-  /// Per-repeat F-hat at the FINAL checkpoint, in repeat order (length ==
-  /// repeats). The raw material behind cross-repeat dispersion statistics —
-  /// empirical CI coverage in particular (src/experiments/verify.h) needs
-  /// the individual estimates, not just their mean/stddev above.
-  std::vector<double> final_estimates;
-  /// 1 where the corresponding final_estimates entry was defined, else 0
-  /// (and the estimate value is meaningless). Same length as final_estimates.
-  std::vector<uint8_t> final_defined;
-};
 
 /// Observability controls of one RunErrorCurve call (docs/TELEMETRY.md).
 /// Telemetry is strictly observe-only: the returned ErrorCurve is
@@ -159,7 +98,8 @@ struct RunnerOptions {
   ///    RemoteOracle; the ErrorCurve carries cost columns (has_remote_cost).
   ///    Labels are unchanged, so the error statistics are bit-identical to
   ///    an unwrapped run at any num_threads.
-  ///  * stack.share_labels — with stack.remote and a deterministic RNG-free
+  ///  * stack.share_labels — requires stack.remote (the run fails with
+  ///    InvalidArgument otherwise). With a deterministic RNG-free
   ///    oracle, all repeats fetch through one run-wide SharedLabelStore: an
   ///    item labelled in ANY repeat is never re-fetched over the simulated
   ///    wire. Error statistics are unaffected; the cost columns drop but
@@ -173,27 +113,10 @@ struct RunnerOptions {
   ///    charged into the repeat's remote clock when present); the ErrorCurve
   ///    carries retries/give_ups columns (has_fault_stats).
   StackSpec stack;
-  /// DEPRECATED alias of stack.remote — merged by EffectiveStackSpec (the
-  /// alias applies only when stack.remote is unset). Prefer `stack`.
-  std::optional<RemoteOracleOptions> remote_oracle;
-  /// DEPRECATED alias of stack.share_labels (ORed in). Prefer `stack`.
-  bool remote_share_labels = false;
-  /// DEPRECATED alias of stack.fault_injection — merged by
-  /// EffectiveStackSpec when stack.fault_injection is unset. Prefer `stack`.
-  std::optional<FaultInjectionOptions> fault_injection;
-  /// DEPRECATED alias of stack.retry — merged by EffectiveStackSpec when
-  /// stack.retry is unset. Prefer `stack`.
-  std::optional<RetryPolicy> retry_policy;
   /// Observability of this run (metrics, spans, heartbeat). Observe-only —
   /// never affects the returned curve.
   RunnerTelemetryOptions telemetry;
 };
-
-/// The stack the runner actually builds per repeat: `options.stack` with the
-/// deprecated alias fields (remote_oracle / remote_share_labels /
-/// fault_injection / retry_policy) folded in. A layer set in both places
-/// resolves to the `stack` value.
-StackSpec EffectiveStackSpec(const RunnerOptions& options);
 
 /// Reads a StackSpec from `prefix`-prefixed config keys, leaving absent
 /// layers unset (see AppendStackSpecConfig for the key list). Like

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "stats/confidence.h"
-#include "stats/running_stats.h"
 
 namespace oasis {
 namespace experiments {
@@ -55,30 +54,23 @@ Result<VerifyReport> VerifyRun(const RunSummary& summary,
   report.method = summary.method;
 
   // 1. aggregate-consistency: rebuild the final-budget aggregates from the
-  // raw per-repeat estimates with the runner's exact arithmetic (same
-  // RunningStats fold, defined repeats only, repeat order) and demand they
-  // reproduce the stored values. Catches hand-edited or truncated files.
-  RunningStats estimate_stats;
-  RunningStats error_stats;
-  int64_t defined = 0;
-  for (size_t r = 0; r < summary.final_estimates.size(); ++r) {
-    if (summary.final_defined[r] == 0) continue;
-    estimate_stats.Add(summary.final_estimates[r]);
-    error_stats.Add(std::abs(summary.final_estimates[r] - summary.true_f));
-    ++defined;
-  }
+  // raw per-repeat estimates through the runner's own fold (FoldCheckpoint)
+  // and demand they reproduce the stored values. Catches hand-edited or
+  // truncated files.
+  const CheckpointFold fold = FoldCheckpoint(
+      summary.final_estimates, summary.final_defined, summary.true_f);
   const double frac_defined =
-      static_cast<double>(defined) / static_cast<double>(summary.repeats);
+      static_cast<double>(fold.defined) / static_cast<double>(summary.repeats);
   const double tol = options.aggregate_tolerance;
   const bool aggregates_ok =
-      std::abs(estimate_stats.mean() - summary.final_mean_estimate) <= tol &&
-      std::abs(estimate_stats.stddev() - summary.final_stddev) <= tol &&
-      std::abs(error_stats.mean() - summary.final_mean_abs_error) <= tol &&
+      std::abs(fold.estimate.mean() - summary.final_mean_estimate) <= tol &&
+      std::abs(fold.estimate.stddev() - summary.final_stddev) <= tol &&
+      std::abs(fold.abs_error.mean() - summary.final_mean_abs_error) <= tol &&
       std::abs(frac_defined - summary.final_frac_defined) <= tol;
   report.checks.push_back(MakeCheck(
       "aggregate-consistency", aggregates_ok,
-      "recomputed mean=" + Num(estimate_stats.mean()) + " stddev=" +
-          Num(estimate_stats.stddev()) + " frac_defined=" + Num(frac_defined) +
+      "recomputed mean=" + Num(fold.estimate.mean()) + " stddev=" +
+          Num(fold.estimate.stddev()) + " frac_defined=" + Num(frac_defined) +
           " vs stored mean=" + Num(summary.final_mean_estimate) + " stddev=" +
           Num(summary.final_stddev) + " frac_defined=" +
           Num(summary.final_frac_defined)));
@@ -93,10 +85,10 @@ Result<VerifyReport> VerifyRun(const RunSummary& summary,
   const double tolerance = options.tolerance_override > 0.0
                                ? options.tolerance_override
                                : summary.verify_tolerance;
-  const double bias = std::abs(estimate_stats.mean() - summary.true_f);
+  const double bias = std::abs(fold.estimate.mean() - summary.true_f);
   report.checks.push_back(MakeCheck(
-      "estimate-tolerance", defined > 0 && bias <= tolerance,
-      "|mean F-hat - F| = |" + Num(estimate_stats.mean()) + " - " +
+      "estimate-tolerance", fold.defined > 0 && bias <= tolerance,
+      "|mean F-hat - F| = |" + Num(fold.estimate.mean()) + " - " +
           Num(summary.true_f) + "| = " + Num(bias) + " (tolerance " +
           Num(tolerance) + ")"));
 
@@ -104,9 +96,9 @@ Result<VerifyReport> VerifyRun(const RunSummary& summary,
   // should cover the truth for ~ci_level of the repeats. sigma-hat is the
   // cross-repeat sample stddev, so this is a predictive-interval coverage
   // test of approximate normality and unbiasedness combined.
-  if (defined >= options.coverage_min_repeats) {
+  if (fold.defined >= options.coverage_min_repeats) {
     const double z = NormalQuantileTwoSided(options.ci_level);
-    const double half_width = z * estimate_stats.stddev();
+    const double half_width = z * fold.estimate.stddev();
     int64_t covered = 0;
     for (size_t r = 0; r < summary.final_estimates.size(); ++r) {
       if (summary.final_defined[r] == 0) continue;
@@ -115,7 +107,7 @@ Result<VerifyReport> VerifyRun(const RunSummary& summary,
       }
     }
     const double coverage =
-        static_cast<double>(covered) / static_cast<double>(defined);
+        static_cast<double>(covered) / static_cast<double>(fold.defined);
     report.checks.push_back(MakeCheck(
         "ci-coverage",
         coverage >= options.coverage_min && coverage <= options.coverage_max,
@@ -125,7 +117,7 @@ Result<VerifyReport> VerifyRun(const RunSummary& summary,
   } else {
     report.checks.push_back(MakeCheck(
         "ci-coverage", true,
-        "skipped: only " + std::to_string(defined) + " defined repeats (< " +
+        "skipped: only " + std::to_string(fold.defined) + " defined repeats (< " +
             std::to_string(options.coverage_min_repeats) + ")"));
   }
 

@@ -2,163 +2,157 @@
 
 #include <algorithm>
 
-#include "oracle/remote_oracle.h"
-#include "oracle/retry_policy.h"
 #include "stats/degeneracy.h"
 #include "telemetry/telemetry.h"
 
 namespace oasis {
 
-namespace {
-
-/// Captures a RemoteOracle's cumulative activity relative to a baseline
-/// snapshot taken at RunTrajectory start, so reused oracles (several
-/// trajectories against one wrapper) chart each run from zero.
-void AppendRemoteCheckpoint(const RemoteOracle& remote,
-                            const RemoteOracleStats& start, Trajectory* out) {
-  const RemoteOracleStats now = remote.stats();
-  out->remote_round_trips.push_back(now.round_trips - start.round_trips);
-  out->remote_seconds.push_back(
-      static_cast<double>(now.simulated_latency_ns - start.simulated_latency_ns) *
-      1e-9);
-  out->remote_cost.push_back(now.label_cost - start.label_cost);
-}
-
-/// Same baseline-relative capture for a RetryingOracle's recovery counters.
-void AppendRetryCheckpoint(const RetryingOracle& retrying,
-                           const RetryStats& start, Trajectory* out) {
-  const RetryStats now = retrying.stats();
-  out->oracle_retries.push_back(now.retries - start.retries);
-  out->oracle_give_ups.push_back(now.give_ups - start.give_ups);
-}
-
-}  // namespace
-
-Result<Trajectory> RunTrajectory(Sampler& sampler, const TrajectoryOptions& options) {
-  if (options.budget <= 0) {
-    return Status::InvalidArgument("RunTrajectory: budget must be positive");
-  }
-  if (options.checkpoint_every <= 0) {
-    return Status::InvalidArgument("RunTrajectory: checkpoint_every must be positive");
-  }
-  int64_t max_iterations = options.max_iterations;
-  if (max_iterations <= 0) max_iterations = 50 * options.budget + 100000;
-
-  Trajectory out;
+std::vector<int64_t> CheckpointGrid(const TrajectoryOptions& options) {
+  std::vector<int64_t> grid;
+  if (options.checkpoint_every <= 0) return grid;
   for (int64_t b = options.checkpoint_every; b <= options.budget;
        b += options.checkpoint_every) {
-    out.budgets.push_back(b);
+    grid.push_back(b);
   }
-  out.snapshots.reserve(out.budgets.size());
+  return grid;
+}
 
-  // Cost-model capture: when the labels flow through a RemoteOracle —
-  // directly or wrapped inside retry/fault decorators — chart its cumulative
-  // round trips / simulated latency / monetary cost alongside every estimate
-  // checkpoint.
-  const RemoteOracle* remote = FindRemoteOracle(&sampler.labels().oracle());
-  RemoteOracleStats remote_start;
-  if (remote != nullptr) {
-    out.has_remote_stats = true;
-    remote_start = remote->stats();
-    out.remote_round_trips.reserve(out.budgets.size());
-    out.remote_seconds.reserve(out.budgets.size());
-    out.remote_cost.reserve(out.budgets.size());
+TrajectoryCursor::TrajectoryCursor(Sampler& sampler,
+                                   const TrajectoryOptions& options)
+    : sampler_(&sampler),
+      budget_(options.budget),
+      max_iterations_(options.max_iterations > 0
+                          ? options.max_iterations
+                          : 50 * options.budget + 100000),
+      start_labels_(sampler.labels_consumed()),
+      // Cost-model capture: when the labels flow through a RemoteOracle —
+      // directly or wrapped inside retry/fault decorators — chart its
+      // cumulative round trips / simulated latency / monetary cost.
+      remote_(FindRemoteOracle(&sampler.labels().oracle())),
+      // Recovery capture: with a RetryingOracle on top of the stack, chart
+      // its cumulative retries and give-ups.
+      retrying_(dynamic_cast<const RetryingOracle*>(&sampler.labels().oracle())),
+      // Degeneracy capture: samplers with a weight-health monitor chart their
+      // effective sample size.
+      monitor_(sampler.degeneracy_monitor()) {
+  out_.budgets = CheckpointGrid(options);
+  const size_t n = out_.budgets.size();
+  out_.snapshots.reserve(n);
+  if (remote_ != nullptr) {
+    out_.has_remote_stats = true;
+    remote_start_ = remote_->stats();
+    out_.remote_round_trips.reserve(n);
+    out_.remote_seconds.reserve(n);
+    out_.remote_cost.reserve(n);
   }
-
-  // Recovery capture: with a RetryingOracle on top of the stack, chart its
-  // cumulative retries and give-ups per checkpoint.
-  const RetryingOracle* retrying =
-      dynamic_cast<const RetryingOracle*>(&sampler.labels().oracle());
-  RetryStats retry_start;
-  if (retrying != nullptr) {
-    out.has_fault_stats = true;
-    retry_start = retrying->stats();
-    out.oracle_retries.reserve(out.budgets.size());
-    out.oracle_give_ups.reserve(out.budgets.size());
+  if (retrying_ != nullptr) {
+    out_.has_fault_stats = true;
+    retry_start_ = retrying_->stats();
+    out_.oracle_retries.reserve(n);
+    out_.oracle_give_ups.reserve(n);
   }
-
-  // Degeneracy capture: samplers with a weight-health monitor chart their
-  // effective sample size per checkpoint.
-  const DegeneracyMonitor* monitor = sampler.degeneracy_monitor();
-  if (monitor != nullptr) {
-    out.has_degeneracy_stats = true;
-    out.ess.reserve(out.budgets.size());
+  if (monitor_ != nullptr) {
+    out_.has_degeneracy_stats = true;
+    out_.ess.reserve(n);
   }
+}
 
-  // Batched stepping through Sampler::StepBatch, exactly equivalent to the
-  // original per-step loop:
-  //  * Until F first becomes defined we step singly, so first_defined_budget
-  //    records the precise label count (once defined, the estimator's
-  //    denominator only grows, so F stays defined).
-  //  * Afterwards each batch is capped at the label deficit to the next
-  //    checkpoint. A step consumes at most one label, so a batch can never
-  //    jump past a checkpoint: the checkpoint is reached, if at all, exactly
-  //    at the batch's final step, where the snapshot below equals the one the
-  //    per-step loop would have taken.
-  //  * Batches are also capped at the remaining iteration allowance, so the
-  //    max_iterations guard fires at the same iteration as before.
-  size_t next_checkpoint = 0;
-  const int64_t start_labels = sampler.labels_consumed();
-  bool f_defined_seen = false;
-  TELEMETRY_SPAN("run_trajectory", "sampler");
-  while (sampler.labels_consumed() - start_labels < options.budget) {
-    if (sampler.iterations() >= max_iterations) {
-      out.truncated = true;
+Result<TrajectoryCursor> TrajectoryCursor::Start(
+    Sampler& sampler, const TrajectoryOptions& options) {
+  if (options.budget <= 0) {
+    return Status::InvalidArgument("TrajectoryCursor: budget must be positive");
+  }
+  if (options.checkpoint_every <= 0) {
+    return Status::InvalidArgument(
+        "TrajectoryCursor: checkpoint_every must be positive");
+  }
+  return TrajectoryCursor(sampler, options);
+}
+
+int64_t TrajectoryCursor::Consumed() const {
+  return sampler_->labels_consumed() - start_labels_;
+}
+
+void TrajectoryCursor::Capture(const EstimateSnapshot& snap) {
+  out_.snapshots.push_back(snap);
+  if (remote_ != nullptr) {
+    const RemoteOracleStats now = remote_->stats();
+    out_.remote_round_trips.push_back(now.round_trips -
+                                      remote_start_.round_trips);
+    out_.remote_seconds.push_back(
+        static_cast<double>(now.simulated_latency_ns -
+                            remote_start_.simulated_latency_ns) *
+        1e-9);
+    out_.remote_cost.push_back(now.label_cost - remote_start_.label_cost);
+  }
+  if (retrying_ != nullptr) {
+    const RetryStats now = retrying_->stats();
+    out_.oracle_retries.push_back(now.retries - retry_start_.retries);
+    out_.oracle_give_ups.push_back(now.give_ups - retry_start_.give_ups);
+  }
+  if (monitor_ != nullptr) out_.ess.push_back(monitor_->ess());
+}
+
+Result<int64_t> TrajectoryCursor::Advance(int64_t label_quota) {
+  const int64_t start = Consumed();
+  while (!done_) {
+    const bool spent = Consumed() >= budget_;
+    if (!spent && label_quota > 0 && Consumed() - start >= label_quota) break;
+    if (spent || sampler_->iterations() >= max_iterations_) {
+      // Fill the remaining checkpoints with the final estimate so every
+      // trajectory has the full grid shape.
+      out_.truncated = !spent;
+      const EstimateSnapshot final_snap = sampler_->Estimate();
+      while (out_.snapshots.size() < out_.budgets.size()) Capture(final_snap);
+      done_ = true;
       break;
     }
+    // Single steps until F first defines; checkpoint-deficit batches after.
+    const size_t next = out_.snapshots.size();
     int64_t batch = 1;
-    if (f_defined_seen) {
-      const int64_t consumed = sampler.labels_consumed() - start_labels;
-      const int64_t target = next_checkpoint < out.budgets.size()
-                                 ? out.budgets[next_checkpoint]
-                                 : options.budget;
-      batch = std::max<int64_t>(1, target - consumed);
-      batch = std::min(batch, max_iterations - sampler.iterations());
+    if (out_.first_defined_budget >= 0) {
+      const int64_t target =
+          next < out_.budgets.size() ? out_.budgets[next] : budget_;
+      batch = std::max<int64_t>(1, target - Consumed());
+      batch = std::min(batch, max_iterations_ - sampler_->iterations());
     }
-    OASIS_RETURN_NOT_OK(sampler.StepBatch(batch));
-    const int64_t consumed = sampler.labels_consumed() - start_labels;
-    const EstimateSnapshot snap = sampler.Estimate();
-    if (!f_defined_seen && snap.f_defined) {
-      f_defined_seen = true;
-      out.first_defined_budget = consumed;
+    OASIS_RETURN_NOT_OK(sampler_->StepBatch(batch));
+    const int64_t consumed = Consumed();
+    const EstimateSnapshot snap = sampler_->Estimate();
+    if (out_.first_defined_budget < 0 && snap.f_defined) {
+      out_.first_defined_budget = consumed;
     }
-    while (next_checkpoint < out.budgets.size() &&
-           consumed >= out.budgets[next_checkpoint]) {
-      out.snapshots.push_back(snap);
-      if (remote != nullptr) AppendRemoteCheckpoint(*remote, remote_start, &out);
-      if (retrying != nullptr) AppendRetryCheckpoint(*retrying, retry_start, &out);
-      if (monitor != nullptr) out.ess.push_back(monitor->ess());
+    while (out_.snapshots.size() < out_.budgets.size() &&
+           consumed >= out_.budgets[out_.snapshots.size()]) {
+      Capture(snap);
       if (OASIS_TELEMETRY_ON) {
         static telemetry::Counter& checkpoints =
             telemetry::DefaultRegistry().AddCounter(
                 "oasis_runner_checkpoints_total",
                 "Budget checkpoints reached across all trajectories.");
         checkpoints.Increment();
-        if (monitor != nullptr) {
+        if (monitor_ != nullptr) {
           static telemetry::Gauge& live_ess =
               telemetry::DefaultRegistry().AddGauge(
                   "oasis_runner_live_ess",
                   "Effective sample size at the most recent checkpoint "
                   "(last writer wins across repeats).");
-          live_ess.Set(monitor->ess());
+          live_ess.Set(monitor_->ess());
         }
       }
-      ++next_checkpoint;
     }
   }
-  // Fill any remaining checkpoints (early stop) with the final estimate so
-  // every trajectory in an experiment has the same shape.
-  const EstimateSnapshot final_snap = sampler.Estimate();
-  while (next_checkpoint < out.budgets.size()) {
-    out.snapshots.push_back(final_snap);
-    if (remote != nullptr) AppendRemoteCheckpoint(*remote, remote_start, &out);
-    if (retrying != nullptr) AppendRetryCheckpoint(*retrying, retry_start, &out);
-    if (monitor != nullptr) out.ess.push_back(monitor->ess());
-    ++next_checkpoint;
-  }
-  out.total_iterations = sampler.iterations();
-  out.labels_consumed = sampler.labels_consumed() - start_labels;
-  return out;
+  out_.total_iterations = sampler_->iterations();
+  out_.labels_consumed = Consumed();
+  return Consumed() - start;
+}
+
+Result<Trajectory> RunTrajectory(Sampler& sampler, const TrajectoryOptions& options) {
+  OASIS_ASSIGN_OR_RETURN(TrajectoryCursor cursor,
+                         TrajectoryCursor::Start(sampler, options));
+  TELEMETRY_SPAN("run_trajectory", "sampler");
+  OASIS_RETURN_NOT_OK(cursor.Advance(0).status());
+  return std::move(cursor).TakeTrajectory();
 }
 
 }  // namespace oasis

@@ -2,9 +2,12 @@
 #define OASIS_SAMPLING_TRAJECTORY_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "oracle/remote_oracle.h"
+#include "oracle/retry_policy.h"
 #include "sampling/sampler.h"
 
 namespace oasis {
@@ -68,6 +71,69 @@ struct Trajectory {
   bool has_degeneracy_stats = false;
   /// Effective sample size of the importance weights at each checkpoint.
   std::vector<double> ess;
+};
+
+/// The checkpoint grid of `options`: checkpoint_every, 2*checkpoint_every,
+/// ..., up to budget.
+std::vector<int64_t> CheckpointGrid(const TrajectoryOptions& options);
+
+/// The one trajectory loop, resumable: drives `sampler` through a budget run
+/// in batches and captures the Trajectory checkpoint by checkpoint, pausing
+/// between batches whenever a caller's label quota is met. RunTrajectory is
+/// one unbounded Advance; a served session holds a cursor across requests.
+///
+/// Batch policy (Sampler::StepBatch): single steps until F first becomes
+/// defined, so first_defined_budget is exact; afterwards each batch is capped
+/// at the label deficit to the next checkpoint and at the remaining iteration
+/// allowance. A step charges at most one label, so a batch never jumps a
+/// checkpoint, and since a quota never splits a batch, the oracle attempt
+/// sequence — and every estimate — is independent of how Advance is sliced.
+class TrajectoryCursor {
+ public:
+  /// Validates `options`, lays out the checkpoint grid and takes the
+  /// cost/recovery baselines: series are measured from this call, so an
+  /// oracle reused across trajectories charts each run from zero. `sampler`
+  /// must outlive the cursor.
+  static Result<TrajectoryCursor> Start(Sampler& sampler,
+                                        const TrajectoryOptions& options);
+
+  /// Advances by at least `label_quota` charged labels (<= 0: to the end),
+  /// stopping early when the budget is exhausted or the iteration cap fires;
+  /// either ends the run with the trailing fill. The quota is checked only
+  /// between batches, so the count may overshoot it by up to
+  /// checkpoint_every. Returns the labels charged by this call; a failed
+  /// batch returns its Status and records nothing.
+  Result<int64_t> Advance(int64_t label_quota);
+
+  /// Whether the run has ended (budget exhausted or truncated).
+  bool done() const { return done_; }
+
+  /// The trajectory so far: the full checkpoint grid in `budgets`, and
+  /// snapshots plus series for every checkpoint reached (the whole grid,
+  /// trailing fill applied, once done).
+  const Trajectory& trajectory() const { return out_; }
+
+  /// Moves the trajectory out of a finished cursor.
+  Trajectory TakeTrajectory() && { return std::move(out_); }
+
+ private:
+  TrajectoryCursor(Sampler& sampler, const TrajectoryOptions& options);
+
+  int64_t Consumed() const;
+  /// Appends one checkpoint: the snapshot and every captured series.
+  void Capture(const EstimateSnapshot& snap);
+
+  Sampler* sampler_;
+  int64_t budget_;
+  int64_t max_iterations_;
+  int64_t start_labels_;
+  const RemoteOracle* remote_;
+  RemoteOracleStats remote_start_;
+  const RetryingOracle* retrying_;
+  RetryStats retry_start_;
+  const DegeneracyMonitor* monitor_;
+  bool done_ = false;
+  Trajectory out_;
 };
 
 /// Runs `sampler` until the label budget is exhausted (or the iteration cap

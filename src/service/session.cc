@@ -1,6 +1,6 @@
 #include "service/session.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/random.h"
 
@@ -30,61 +30,14 @@ Result<std::unique_ptr<EvalSession>> EvalSession::Create(
       session->sampler_,
       method.factory(pool, session->labels_.get(),
                      Rng::Fork(spec.seed, spec.stream)));
-  for (int64_t b = spec.checkpoint_every; b <= spec.budget;
-       b += spec.checkpoint_every) {
-    session->budgets_.push_back(b);
-  }
-  session->snapshots_.reserve(session->budgets_.size());
-  // RunTrajectory's derived default cap (TrajectoryOptions.max_iterations=0).
-  session->max_iterations_ = 50 * spec.budget + 100000;
+  TrajectoryOptions trajectory;
+  trajectory.budget = spec.budget;
+  trajectory.checkpoint_every = spec.checkpoint_every;
+  OASIS_ASSIGN_OR_RETURN(
+      TrajectoryCursor cursor,
+      TrajectoryCursor::Start(*session->sampler_, trajectory));
+  session->cursor_.emplace(std::move(cursor));
   return session;
-}
-
-Result<int64_t> EvalSession::Advance(int64_t label_quota) {
-  if (done_) return static_cast<int64_t>(0);
-  const int64_t start = sampler_->labels_consumed();
-  // The loop below is RunTrajectory's, verbatim — single-step until F first
-  // defines, then batches sized to the next checkpoint deficit, capped by the
-  // remaining iteration allowance — with ONE addition: the quota check
-  // between batches. Keeping the batch partitioning identical is what makes
-  // the oracle attempt sequence (and thus any fault schedule) independent of
-  // how callers slice their label requests.
-  while (sampler_->labels_consumed() < spec_.budget) {
-    if (label_quota > 0 && sampler_->labels_consumed() - start >= label_quota) {
-      return sampler_->labels_consumed() - start;
-    }
-    if (sampler_->iterations() >= max_iterations_) {
-      truncated_ = true;
-      break;
-    }
-    int64_t batch = 1;
-    if (f_defined_seen_) {
-      const int64_t consumed = sampler_->labels_consumed();
-      const int64_t target = next_checkpoint_ < budgets_.size()
-                                 ? budgets_[next_checkpoint_]
-                                 : spec_.budget;
-      batch = std::max<int64_t>(1, target - consumed);
-      batch = std::min(batch, max_iterations_ - sampler_->iterations());
-    }
-    OASIS_RETURN_NOT_OK(sampler_->StepBatch(batch));
-    const int64_t consumed = sampler_->labels_consumed();
-    const EstimateSnapshot snap = sampler_->Estimate();
-    if (!f_defined_seen_ && snap.f_defined) f_defined_seen_ = true;
-    while (next_checkpoint_ < budgets_.size() &&
-           consumed >= budgets_[next_checkpoint_]) {
-      snapshots_.push_back(snap);
-      ++next_checkpoint_;
-    }
-  }
-  // Budget exhausted or iteration cap fired: finish with RunTrajectory's
-  // trailing fill so every session's trajectory has the full grid shape.
-  done_ = true;
-  const EstimateSnapshot final_snap = sampler_->Estimate();
-  while (next_checkpoint_ < budgets_.size()) {
-    snapshots_.push_back(final_snap);
-    ++next_checkpoint_;
-  }
-  return sampler_->labels_consumed() - start;
 }
 
 EstimateReport EvalSession::Report() const {
@@ -99,8 +52,8 @@ EstimateReport EvalSession::Report() const {
   report.precision_defined = snap.precision_defined;
   report.recall = snap.recall;
   report.recall_defined = snap.recall_defined;
-  report.done = done_;
-  report.truncated = truncated_;
+  report.done = cursor_->done();
+  report.truncated = cursor_->trajectory().truncated;
   return report;
 }
 
@@ -108,13 +61,15 @@ CheckpointAck EvalSession::CheckpointData() const {
   CheckpointAck ack;
   ack.session = id_;
   ack.labels_consumed = sampler_->labels_consumed();
-  ack.done = done_;
-  ack.truncated = truncated_;
-  ack.budgets.assign(budgets_.begin(),
-                     budgets_.begin() + static_cast<int64_t>(next_checkpoint_));
-  ack.f_alpha.reserve(snapshots_.size());
-  ack.f_defined.reserve(snapshots_.size());
-  for (const EstimateSnapshot& snap : snapshots_) {
+  const Trajectory& trajectory = cursor_->trajectory();
+  ack.done = cursor_->done();
+  ack.truncated = trajectory.truncated;
+  ack.budgets.assign(trajectory.budgets.begin(),
+                     trajectory.budgets.begin() +
+                         static_cast<int64_t>(trajectory.snapshots.size()));
+  ack.f_alpha.reserve(trajectory.snapshots.size());
+  ack.f_defined.reserve(trajectory.snapshots.size());
+  for (const EstimateSnapshot& snap : trajectory.snapshots) {
     ack.f_alpha.push_back(snap.f_alpha);
     ack.f_defined.push_back(snap.f_defined ? 1 : 0);
   }

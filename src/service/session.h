@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <optional>
 
 #include "common/status.h"
 #include "experiments/runner.h"
@@ -12,6 +12,7 @@
 #include "oracle/oracle_stack.h"
 #include "oracle/shared_label_store.h"
 #include "sampling/sampler.h"
+#include "sampling/trajectory.h"
 #include "service/protocol.h"
 
 namespace oasis {
@@ -20,17 +21,16 @@ namespace service {
 /// One live evaluation session: a sampler with its own RNG stream, its own
 /// oracle decorator stack and label cache, advanced incrementally against a
 /// shared immutable backend (pool + base oracle). The incremental twin of one
-/// RunTrajectory call — state that RunTrajectory keeps in locals across its
-/// loop lives here across Advance() calls.
+/// RunTrajectory call: the session holds the TrajectoryCursor that
+/// RunTrajectory advances in one go, and advances it per request.
 ///
 /// Determinism contract (tested in tests/session_server_test.cc): a session
 /// over scenario backend B with (seed, stream) = (base_seed, r) produces, at
 /// every checkpoint, estimates bit-identical to repeat r of
 /// experiments::RunErrorCurve on B with base_seed — regardless of how callers
-/// slice their label requests, because Advance() replicates RunTrajectory's
-/// batch partitioning exactly and only pauses between batches, never inside
-/// one (so the oracle attempt sequence, and with it any fault/jitter
-/// schedule, is identical to batch mode).
+/// slice their label requests, because the cursor only pauses between
+/// batches, never inside one (so the oracle attempt sequence, and with it any
+/// fault/jitter schedule, is identical to batch mode).
 ///
 /// Not thread-safe: the SessionManager serialises access per session.
 class EvalSession {
@@ -47,13 +47,12 @@ class EvalSession {
       const Oracle* oracle, SharedLabelStore* store);
 
   /// Advances the session by at least `label_quota` charged labels (<= 0:
-  /// run to the full budget), stopping early when the budget is exhausted or
-  /// the iteration cap fires. The quota is only checked between trajectory
-  /// batches — one batch is never split — so the label count may overshoot
-  /// by up to checkpoint_every. Returns the labels charged by THIS call.
-  /// A failed advance (fallible oracle stack without retries) leaves the
-  /// session at its pre-batch state and is sticky via the manager.
-  Result<int64_t> Advance(int64_t label_quota);
+  /// run to the full budget); see TrajectoryCursor::Advance. A failed
+  /// advance (fallible oracle stack without retries) leaves the session at
+  /// its pre-batch state and is sticky via the manager.
+  Result<int64_t> Advance(int64_t label_quota) {
+    return cursor_->Advance(label_quota);
+  }
 
   /// Current estimate state (protocol form).
   EstimateReport Report() const;
@@ -64,7 +63,7 @@ class EvalSession {
   CheckpointAck CheckpointData() const;
 
   /// Whether the session finished (budget exhausted or truncated).
-  bool done() const { return done_; }
+  bool done() const { return cursor_->done(); }
 
   /// Session id (assigned by the manager).
   int64_t id() const { return id_; }
@@ -90,18 +89,8 @@ class EvalSession {
   std::unique_ptr<LabelCache> labels_;
   std::unique_ptr<Sampler> sampler_;
 
-  /// Checkpoint grid (checkpoint_every, 2*checkpoint_every, ..., budget).
-  std::vector<int64_t> budgets_;
-  /// Estimate snapshot at each reached checkpoint (parallel prefix of
-  /// budgets_).
-  std::vector<EstimateSnapshot> snapshots_;
-  size_t next_checkpoint_ = 0;
-  /// RunTrajectory's f_defined_seen local, persisted across Advance calls:
-  /// single-step until F first defines, checkpoint-sized batches after.
-  bool f_defined_seen_ = false;
-  int64_t max_iterations_ = 0;
-  bool truncated_ = false;
-  bool done_ = false;
+  /// The session's trajectory run over sampler_, advanced per request.
+  std::optional<TrajectoryCursor> cursor_;
 };
 
 }  // namespace service

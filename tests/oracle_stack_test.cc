@@ -216,75 +216,5 @@ TEST(OracleStackBuilder, StackSpecConfigRoundTripsValueExactly) {
   EXPECT_TRUE(empty.empty());
 }
 
-TEST(OracleStackBuilder, DeprecatedRunnerAliasesMergeIntoStackSpec) {
-  experiments::RunnerOptions legacy;
-  legacy.fault_injection = FullSpec().fault_injection;
-  legacy.remote_oracle = FullSpec().remote;
-  legacy.retry_policy = FullSpec().retry;
-  legacy.remote_share_labels = true;
-  const StackSpec merged = experiments::EffectiveStackSpec(legacy);
-  EXPECT_EQ(merged.fault_injection->seed, FullSpec().fault_injection->seed);
-  EXPECT_EQ(merged.remote->jitter_seed, FullSpec().remote->jitter_seed);
-  EXPECT_EQ(merged.retry->max_attempts, FullSpec().retry->max_attempts);
-  EXPECT_TRUE(merged.share_labels);
-
-  // The declarative spec wins over the aliases where both are set.
-  experiments::RunnerOptions both = legacy;
-  FaultInjectionOptions newer;
-  newer.seed = 0x999ULL;
-  both.stack.fault_injection = newer;
-  EXPECT_EQ(experiments::EffectiveStackSpec(both).fault_injection->seed,
-            0x999ULL);
-
-  // Historical tolerance: share without a remote layer normalises to off.
-  experiments::RunnerOptions shareless;
-  shareless.remote_share_labels = true;
-  EXPECT_FALSE(experiments::EffectiveStackSpec(shareless).share_labels);
-}
-
-// The end-to-end equivalence behind the deprecation: a run configured
-// through the old per-layer fields is bit-identical to the same run
-// configured through RunnerOptions::stack.
-TEST(OracleStackBuilder, LegacyAliasRunsMatchDeclarativeStackRuns) {
-  const testutil::SyntheticPool pool = SmallPool();
-  GroundTruthOracle oracle(pool.truth);
-
-  StackSpec spec;
-  FaultInjectionOptions fault;
-  fault.transient_failure_rate = 0.04;
-  spec.fault_injection = fault;
-  RetryPolicy retry;
-  retry.max_attempts = 8;
-  spec.retry = retry;
-
-  experiments::RunnerOptions base;
-  base.repeats = 6;
-  base.base_seed = 99;
-  base.trajectory.budget = 120;
-  base.trajectory.checkpoint_every = 40;
-
-  experiments::RunnerOptions declarative = base;
-  declarative.stack = spec;
-  experiments::RunnerOptions aliased = base;
-  aliased.fault_injection = fault;
-  aliased.retry_policy = retry;
-
-  const experiments::ErrorCurve lhs =
-      experiments::RunErrorCurve(experiments::MakePassiveSpec(0.5), pool.scored,
-                                 oracle, pool.true_measures.f_alpha,
-                                 declarative)
-          .ValueOrDie();
-  const experiments::ErrorCurve rhs =
-      experiments::RunErrorCurve(experiments::MakePassiveSpec(0.5), pool.scored,
-                                 oracle, pool.true_measures.f_alpha, aliased)
-          .ValueOrDie();
-  ASSERT_EQ(lhs.final_estimates.size(), rhs.final_estimates.size());
-  for (size_t r = 0; r < lhs.final_estimates.size(); ++r) {
-    EXPECT_EQ(lhs.final_estimates[r], rhs.final_estimates[r]) << "repeat " << r;
-  }
-  EXPECT_EQ(lhs.mean_abs_error, rhs.mean_abs_error);
-  EXPECT_EQ(lhs.mean_retries, rhs.mean_retries);
-}
-
 }  // namespace
 }  // namespace oasis

@@ -281,7 +281,7 @@ TEST(RemoteOracleRunnerTest, CurvesBitIdenticalToUnwrappedAtAnyThreadCount) {
   for (int threads : {1, 2, 8}) {
     experiments::RunnerOptions options = BaseRunnerOptions();
     options.num_threads = threads;
-    options.remote_oracle = remote;
+    options.stack.remote = remote;
     const experiments::ErrorCurve curve =
         experiments::RunErrorCurve(method, pool.scored, oracle, true_f, options)
             .ValueOrDie();
@@ -313,7 +313,7 @@ TEST(RemoteOracleRunnerTest, CostColumnsBitIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 8}) {
     experiments::RunnerOptions options = BaseRunnerOptions();
     options.num_threads = threads;
-    options.remote_oracle = remote;
+    options.stack.remote = remote;
     const experiments::ErrorCurve curve =
         experiments::RunErrorCurve(method, pool.scored, oracle, true_f, options)
             .ValueOrDie();
@@ -351,13 +351,13 @@ TEST(RemoteOracleRunnerTest, SharedLabelsCutCostWithoutChangingCurves) {
 
   experiments::RunnerOptions unshared = BaseRunnerOptions();
   unshared.num_threads = 2;
-  unshared.remote_oracle = NoJitterOptions();
+  unshared.stack.remote = NoJitterOptions();
   const experiments::ErrorCurve curve_unshared =
       experiments::RunErrorCurve(method, pool.scored, oracle, true_f, unshared)
           .ValueOrDie();
 
   experiments::RunnerOptions shared = unshared;
-  shared.remote_share_labels = true;
+  shared.stack.share_labels = true;
   const experiments::ErrorCurve curve_shared =
       experiments::RunErrorCurve(method, pool.scored, oracle, true_f, shared)
           .ValueOrDie();

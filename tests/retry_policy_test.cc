@@ -504,12 +504,12 @@ TEST(RetryRunnerTest, TransientChaosCurvesBitIdenticalToFaultFree) {
   for (const int threads : {1, 2, 8}) {
     exp::RunnerOptions chaos_options = BaseRunnerOptions();
     chaos_options.num_threads = threads;
-    chaos_options.fault_injection = TransientChaos();
+    chaos_options.stack.fault_injection = TransientChaos();
     RetryPolicy policy;
     // Generous attempt budget: with the rates above, the probability of any
     // batch exhausting 30 attempts is ~1e-8 — the test is seed-robust.
     policy.max_attempts = 30;
-    chaos_options.retry_policy = policy;
+    chaos_options.stack.retry = policy;
     const exp::ErrorCurve chaos =
         exp::RunErrorCurve(spec, pool.scored, oracle,
                            pool.true_measures.f_alpha, chaos_options)
@@ -541,11 +541,11 @@ TEST(RetryRunnerTest, PermanentOutageSurfacesUnavailable) {
   options.repeats = 2;
   FaultInjectionOptions faults;
   faults.outage_after_attempts = 0;  // Down from the first attempt.
-  options.fault_injection = faults;
+  options.stack.fault_injection = faults;
   RetryPolicy policy;
   policy.max_attempts = 2;
   policy.initial_backoff_seconds = 0.0;
-  options.retry_policy = policy;
+  options.stack.retry = policy;
 
   const auto result = exp::RunErrorCurve(exp::MakePassiveSpec(0.5), pool.scored,
                                          oracle, pool.true_measures.f_alpha,
@@ -563,11 +563,11 @@ TEST(RetryRunnerTest, PermanentTimeoutsSurfaceDeadlineExceeded) {
   FaultInjectionOptions faults;
   faults.timeout_rate = 1.0;  // Every attempt times out, forever.
   faults.seed = ChaosSeed();
-  options.fault_injection = faults;
+  options.stack.fault_injection = faults;
   RetryPolicy policy;
   policy.max_attempts = 3;
   policy.initial_backoff_seconds = 0.0;
-  options.retry_policy = policy;
+  options.stack.retry = policy;
 
   const auto result = exp::RunErrorCurve(exp::MakePassiveSpec(0.5), pool.scored,
                                          oracle, pool.true_measures.f_alpha,
@@ -585,10 +585,10 @@ TEST(RetryRunnerTest, CsvCarriesRetryAndEssColumns) {
 
   exp::RunnerOptions options = BaseRunnerOptions();
   options.repeats = 3;
-  options.fault_injection = TransientChaos();
+  options.stack.fault_injection = TransientChaos();
   RetryPolicy policy;
   policy.max_attempts = 30;  // Seed-robust: give-ups are ~impossible.
-  options.retry_policy = policy;
+  options.stack.retry = policy;
   const exp::ErrorCurve curve =
       exp::RunErrorCurve(exp::MakeOasisSpec(OasisOptions{}, strata),
                          pool.scored, oracle, pool.true_measures.f_alpha,

@@ -36,6 +36,18 @@ TEST(RunnerTest, RejectsBadOptions) {
   EXPECT_FALSE(RunErrorCurve(MakePassiveSpec(0.5), pool.scored, oracle,
                              pool.true_measures.f_alpha, options)
                    .ok());
+  options.trajectory.checkpoint_every = 0;
+  EXPECT_FALSE(RunErrorCurve(MakePassiveSpec(0.5), pool.scored, oracle,
+                             pool.true_measures.f_alpha, options)
+                   .ok());
+  // Sharing labels needs a remote layer to share them over.
+  options.trajectory.checkpoint_every = 5;
+  options.stack.share_labels = true;
+  const Result<ErrorCurve> shareless =
+      RunErrorCurve(MakePassiveSpec(0.5), pool.scored, oracle,
+                    pool.true_measures.f_alpha, options);
+  ASSERT_FALSE(shareless.ok());
+  EXPECT_EQ(shareless.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RunnerTest, CurveShapeMatchesOptions) {
@@ -55,6 +67,8 @@ TEST(RunnerTest, CurveShapeMatchesOptions) {
   EXPECT_EQ(curve.mean_abs_error.size(), 4u);
   EXPECT_EQ(curve.stddev.size(), 4u);
   EXPECT_EQ(curve.frac_defined.size(), 4u);
+  // Every repeat charged its full budget.
+  EXPECT_EQ(curve.labels_consumed, 8 * 200);
 }
 
 TEST(RunnerTest, ErrorShrinksWithBudget) {
@@ -174,6 +188,41 @@ TEST(RunnerTest, FinalErrorSummary) {
   EXPECT_EQ(summary.repeats, 12);
   EXPECT_GE(summary.mean_abs_error, 0.0);
   EXPECT_GE(summary.ci_half_width, 0.0);
+}
+
+TEST(CurveReducerTest, FoldIsIndependentOfRecordOrder) {
+  const std::vector<double> f_alpha[3] = {{0.5, 0.6}, {0.7, 0.8}, {0.2, 0.9}};
+  const std::vector<uint8_t> defined[3] = {{0, 1}, {1, 1}, {1, 0}};
+  CurveReducer forward({10, 20}, 3, /*remote=*/false, /*fault=*/false);
+  CurveReducer backward({10, 20}, 3, /*remote=*/false, /*fault=*/false);
+  for (size_t r = 0; r < 3; ++r) {
+    ASSERT_TRUE(forward.RecordEstimates(r, f_alpha[r], defined[r], 20).ok());
+    ASSERT_TRUE(
+        backward.RecordEstimates(2 - r, f_alpha[2 - r], defined[2 - r], 20).ok());
+  }
+  const ErrorCurve a = forward.Reduce("m", 0.75);
+  const ErrorCurve b = backward.Reduce("m", 0.75);
+  EXPECT_EQ(a.mean_estimate, b.mean_estimate);
+  EXPECT_EQ(a.stddev, b.stddev);
+  EXPECT_EQ(a.mean_abs_error, b.mean_abs_error);
+  EXPECT_EQ(a.final_estimates, (std::vector<double>{0.6, 0.8, 0.9}));
+  EXPECT_EQ(a.final_defined, (std::vector<uint8_t>{1, 1, 0}));
+  EXPECT_EQ(a.frac_defined, (std::vector<double>{2.0 / 3.0, 2.0 / 3.0}));
+  EXPECT_EQ(a.labels_consumed, 60);
+  // Checkpoint 0 folds repeats 1 and 2 only: mean (0.7 + 0.2) / 2.
+  EXPECT_DOUBLE_EQ(a.mean_estimate[0], 0.45);
+}
+
+TEST(CurveReducerTest, RejectsMisshapenRepeats) {
+  CurveReducer reducer({10, 20}, 2, /*remote=*/false, /*fault=*/false);
+  const std::vector<double> one = {0.5};
+  const std::vector<double> two = {0.5, 0.6};
+  const std::vector<uint8_t> defined = {1, 1};
+  EXPECT_FALSE(reducer.RecordEstimates(0, one, defined, 10).ok());
+  EXPECT_FALSE(reducer.RecordEstimates(2, two, defined, 10).ok());
+  EXPECT_FALSE(
+      reducer.RecordEstimates(0, two, std::vector<uint8_t>{1}, 10).ok());
+  EXPECT_TRUE(reducer.RecordEstimates(1, two, defined, 10).ok());
 }
 
 }  // namespace

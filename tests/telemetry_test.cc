@@ -343,7 +343,7 @@ TEST(TelemetryCoverageTest, ExportsCoverSamplerRunnerAndOracleLayers) {
   options.trajectory.checkpoint_every = 50;
   options.base_seed = 11;
   options.num_threads = 1;
-  options.remote_oracle = RemoteOracleOptions{};
+  options.stack.remote = RemoteOracleOptions{};
   options.telemetry.enable = true;
 
   DefaultTraceCollector().Clear();
