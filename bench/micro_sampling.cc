@@ -1,8 +1,8 @@
 // google-benchmark micro-benches for the sampling hot paths: alias-table vs
 // linear-scan discrete draws (the Table 3 cost asymmetry at its core), the
 // per-iteration cost of each sampler as a function of K and N, the fused
-// zero-allocation OASIS step against the allocating reference path, and CSF
-// stratification construction cost.
+// zero-allocation OASIS step against the Fenwick and alias step paths, and
+// CSF stratification construction cost.
 //
 // Besides the console output, every run writes a machine-readable
 // BENCH_micro.json (path override: OASIS_BENCH_JSON) with steps/sec per
@@ -19,7 +19,6 @@
 
 #include "bench/bench_util.h"
 #include "common/alias_table.h"
-#include "common/block_fenwick_forest.h"
 #include "common/logging.h"
 #include "common/fenwick_tree.h"
 #include "common/random.h"
@@ -104,8 +103,7 @@ StepBenchContext MakeStepBench(size_t k, OasisOptions options) {
     // single drift rebuild costs milliseconds, so how many rebuilds happen to
     // land in the window dominates the measurement (huge run-to-run
     // variance). Widen the drift gate so these rows measure the steady-state
-    // sub-linear draw/update path; rebuild cost at this scale is benchmarked
-    // and regression-gated separately by BM_BlockForestRebuild.
+    // sub-linear draw/update path, not the rebuild.
     options.fenwick_rebuild_tol = 0.1;
   }
   if (k >= 100000) {
@@ -228,33 +226,6 @@ BENCHMARK(BM_OasisStep)
     ->Arg(1000)
     ->Arg(10000);
 
-/// One OASIS iteration through the original allocating path, kept as the
-/// baseline the fused path is compared against.
-void BM_OasisStepAllocating(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  static BenchPool* pool = new BenchPool(MakePool(100000));
-  GroundTruthOracle oracle(pool->truth);
-  LabelCache labels(&oracle);
-  OasisOptions options;
-  options.step_path = OasisStepPath::kAllocatingReference;
-  auto sampler =
-      OasisSampler::CreateWithCsf(&pool->scored, &labels, k, options, Rng(4))
-          .ValueOrDie();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler->Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["K"] = static_cast<double>(sampler->strata().num_strata());
-  state.SetLabel("K=" + std::to_string(sampler->strata().num_strata()));
-}
-BENCHMARK(BM_OasisStepAllocating)
-    ->Arg(10)
-    ->Arg(30)
-    ->Arg(60)
-    ->Arg(120)
-    ->Arg(1000)
-    ->Arg(10000);
-
 /// One OASIS iteration through the Fenwick-tree path: O(log K) draw +
 /// single-stratum update, with O(K) mass rebuilds only on F-hat drift. The
 /// point of comparison for BM_OasisStep (fused O(K)) as K grows; the 100k and
@@ -308,57 +279,6 @@ BENCHMARK(BM_OasisStepAlias)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000);
-
-/// One OASIS iteration through the sharded-Fenwick path at pool scale: the
-/// O(K) drift rebuilds fan out over an 8-worker pool while draws stay
-/// O(log K). Only meaningful at large K (below that the rebuild is too cheap
-/// to shard), so the sweep starts at 100k.
-void BM_OasisStepSharded(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  static ThreadPool* shard_pool = new ThreadPool(8);
-  OasisOptions options;
-  options.step_path = OasisStepPath::kShardedFenwick;
-  options.num_shards = 8;
-  options.shard_pool = shard_pool;
-  StepBenchContext ctx = MakeStepBench(k, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.sampler->Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["K"] =
-      static_cast<double>(ctx.sampler->strata().num_strata());
-  state.counters["shards"] = 8.0;
-  state.SetLabel("K=" + std::to_string(ctx.sampler->strata().num_strata()) +
-                 " shards=8");
-}
-BENCHMARK(BM_OasisStepSharded)->Arg(100000)->Arg(1000000)->UseRealTime();
-
-/// Isolated cost of one full blocked-forest mass rebuild at K = 1M, serial
-/// (shards=1) vs fanned out over 8 workers — the component the sharded step
-/// path pays on every drift trip, measured without the sampler around it.
-/// Items/sec counts stratum masses written per second.
-void BM_BlockForestRebuild(benchmark::State& state) {
-  const size_t shards = static_cast<size_t>(state.range(0));
-  constexpr size_t kForestK = 1000000;
-  static ThreadPool* pool = new ThreadPool(8);
-  static std::vector<double>* masses = [] {
-    auto* m = new std::vector<double>(kForestK);
-    Rng rng(11);
-    for (double& v : *m) v = rng.NextDouble() + 1e-6;
-    return m;
-  }();
-  BlockFenwickForest forest = BlockFenwickForest::Build(*masses).ValueOrDie();
-  for (auto _ : state) {
-    OASIS_CHECK_OK(forest.ParallelRebuild(*masses, pool, shards));
-    benchmark::DoNotOptimize(forest.Total());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kForestK));
-  state.counters["K"] = static_cast<double>(kForestK);
-  state.counters["shards"] = static_cast<double>(shards);
-  state.SetLabel("K=1000000 shards=" + std::to_string(shards));
-}
-BENCHMARK(BM_BlockForestRebuild)->Arg(1)->Arg(8)->UseRealTime();
 
 /// Batched OASIS stepping: each bench iteration performs range(1) fused
 /// steps through StepBatch, amortising dispatch and validation.

@@ -63,12 +63,4 @@ std::vector<double> StratifiedBetaModel::PosteriorMeans() const {
   return means;
 }
 
-Status StratifiedBetaModel::PosteriorMeansInto(std::span<double> out) const {
-  if (out.size() != num_strata()) {
-    return Status::InvalidArgument("PosteriorMeansInto: output length mismatch");
-  }
-  for (size_t k = 0; k < num_strata(); ++k) out[k] = PosteriorMean(k);
-  return Status::OK();
-}
-
 }  // namespace oasis

@@ -38,13 +38,6 @@ class StratifiedBetaModel {
   /// All posterior means; recomputed on demand.
   std::vector<double> PosteriorMeans() const;
 
-  /// In-place variant of PosteriorMeans: writes the K posterior means into
-  /// `out` (which must have length num_strata()) without allocating, for
-  /// callers that reuse a scratch buffer across iterations. (OasisSampler's
-  /// fused step goes further and maintains its own incremental cache, so it
-  /// does not call this per step.)
-  Status PosteriorMeansInto(std::span<double> out) const;
-
   /// Number of strata K the model covers.
   size_t num_strata() const { return prior_match_.size(); }
   /// Labels observed in `stratum` so far (equivalently: how often the OASIS

@@ -7,16 +7,14 @@
 
 namespace oasis {
 
-Status OptimalStratifiedInstrumentalInto(std::span<const double> weights,
-                                         std::span<const double> lambda,
-                                         std::span<const double> pi,
-                                         double f_measure, double alpha,
-                                         std::span<double> out) {
+Result<std::vector<double>> OptimalStratifiedInstrumental(
+    std::span<const double> weights, std::span<const double> lambda,
+    std::span<const double> pi, double f_measure, double alpha) {
   const size_t k = weights.size();
   if (k == 0) {
     return Status::InvalidArgument("OptimalStratifiedInstrumental: no strata");
   }
-  if (lambda.size() != k || pi.size() != k || out.size() != k) {
+  if (lambda.size() != k || pi.size() != k) {
     return Status::InvalidArgument("OptimalStratifiedInstrumental: length mismatch");
   }
   if (alpha < 0.0 || alpha > 1.0) {
@@ -27,6 +25,7 @@ Status OptimalStratifiedInstrumentalInto(std::span<const double> weights,
   }
   const double f = Clamp(f_measure, 0.0, 1.0);
 
+  std::vector<double> v(k);
   double total = 0.0;
   for (size_t i = 0; i < k; ++i) {
     if (std::isnan(pi[i]) || pi[i] < 0.0 || pi[i] > 1.0) {
@@ -38,51 +37,33 @@ Status OptimalStratifiedInstrumentalInto(std::span<const double> weights,
     const double pred =
         lambda[i] * std::sqrt(alpha * alpha * f * f * (1.0 - pi[i]) +
                               (1.0 - f) * (1.0 - f) * pi[i]);
-    out[i] = weights[i] * (not_pred + pred);
-    total += out[i];
+    v[i] = weights[i] * (not_pred + pred);
+    total += v[i];
   }
   if (total <= 0.0) {
     // Degenerate estimates: fall back to the underlying stratum weights so
     // downstream sampling remains well defined.
-    std::copy(weights.begin(), weights.end(), out.begin());
-    NormalizeInPlace(out);
-    return Status::OK();
+    std::copy(weights.begin(), weights.end(), v.begin());
+    NormalizeInPlace(v);
+    return v;
   }
-  for (size_t i = 0; i < k; ++i) out[i] /= total;
-  return Status::OK();
-}
-
-Result<std::vector<double>> OptimalStratifiedInstrumental(
-    std::span<const double> weights, std::span<const double> lambda,
-    std::span<const double> pi, double f_measure, double alpha) {
-  std::vector<double> v(weights.size());
-  OASIS_RETURN_NOT_OK(OptimalStratifiedInstrumentalInto(
-      weights, lambda, pi, f_measure, alpha, std::span<double>(v)));
+  for (size_t i = 0; i < k; ++i) v[i] /= total;
   return v;
-}
-
-Status EpsilonGreedyMixInto(std::span<const double> weights,
-                            std::span<const double> v_star, double epsilon,
-                            std::span<double> out) {
-  if (weights.size() != v_star.size() || weights.empty() ||
-      out.size() != weights.size()) {
-    return Status::InvalidArgument("EpsilonGreedyMix: length mismatch or empty");
-  }
-  if (std::isnan(epsilon) || epsilon <= 0.0 || epsilon > 1.0) {
-    return Status::InvalidArgument("EpsilonGreedyMix: epsilon must be in (0, 1]");
-  }
-  for (size_t i = 0; i < weights.size(); ++i) {
-    out[i] = epsilon * weights[i] + (1.0 - epsilon) * v_star[i];
-  }
-  return Status::OK();
 }
 
 Result<std::vector<double>> EpsilonGreedyMix(std::span<const double> weights,
                                              std::span<const double> v_star,
                                              double epsilon) {
+  if (weights.size() != v_star.size() || weights.empty()) {
+    return Status::InvalidArgument("EpsilonGreedyMix: length mismatch or empty");
+  }
+  if (std::isnan(epsilon) || epsilon <= 0.0 || epsilon > 1.0) {
+    return Status::InvalidArgument("EpsilonGreedyMix: epsilon must be in (0, 1]");
+  }
   std::vector<double> v(weights.size());
-  OASIS_RETURN_NOT_OK(
-      EpsilonGreedyMixInto(weights, v_star, epsilon, std::span<double>(v)));
+  for (size_t i = 0; i < weights.size(); ++i) {
+    v[i] = epsilon * weights[i] + (1.0 - epsilon) * v_star[i];
+  }
   return v;
 }
 

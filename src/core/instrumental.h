@@ -26,16 +26,6 @@ Result<std::vector<double>> OptimalStratifiedInstrumental(
     std::span<const double> weights, std::span<const double> lambda,
     std::span<const double> pi, double f_measure, double alpha);
 
-/// In-place variant of OptimalStratifiedInstrumental: writes the normalised
-/// distribution into `out` (same length as the inputs) without allocating.
-/// `out` may not alias the inputs. Produces bit-identical values to the
-/// allocating overload; the OASIS hot path and tests rely on this.
-Status OptimalStratifiedInstrumentalInto(std::span<const double> weights,
-                                         std::span<const double> lambda,
-                                         std::span<const double> pi,
-                                         double f_measure, double alpha,
-                                         std::span<double> out);
-
 /// Mixes v* with the stratum weights per the epsilon-greedy rule (Eqn. 12):
 /// v_k = epsilon * omega_k + (1 - epsilon) * v*_k. With epsilon > 0 every
 /// stratum keeps positive mass, the property that powers the consistency
@@ -43,13 +33,6 @@ Status OptimalStratifiedInstrumentalInto(std::span<const double> weights,
 Result<std::vector<double>> EpsilonGreedyMix(std::span<const double> weights,
                                              std::span<const double> v_star,
                                              double epsilon);
-
-/// In-place variant of EpsilonGreedyMix. `out` must have the common input
-/// length and may alias `v_star` (each element is read before it is
-/// written), which lets the hot path mix in place over one scratch buffer.
-Status EpsilonGreedyMixInto(std::span<const double> weights,
-                            std::span<const double> v_star, double epsilon,
-                            std::span<double> out);
 
 }  // namespace oasis
 

@@ -17,7 +17,7 @@ namespace oasis {
 namespace {
 
 /// The scalar formula, shared by the vector tails and the fallback. Factor
-/// grouping mirrors OptimalStratifiedInstrumentalInto / StratumMass exactly:
+/// grouping mirrors OptimalStratifiedInstrumental / StratumMass exactly:
 /// not_pred associates as (c * f) * sqrt_pi, the radicand as
 /// (a2f2 * (1 - pi)) + (omf2 * pi).
 inline double ScalarMass(double weight, double lambda, double pi,

@@ -21,8 +21,9 @@ namespace oasis {
 /// correctly-rounded mul/add/sub/sqrt operations, so the output is
 /// bit-identical to the scalar loop at every element for every build flavour
 /// — which is what lets the fused step path stay bit-for-bit equal to the
-/// allocating reference path (tests/fused_incremental_test,
-/// tests/step_batch_test, tests/mass_kernel_test). No FMA contraction is ever
+/// allocating reference sampler (tests/reference_oasis.h, checked by
+/// tests/fused_incremental_test and tests/step_batch_test;
+/// tests/mass_kernel_test checks the kernel itself). No FMA contraction is ever
 /// used: a fused multiply-add rounds once where the scalar formula rounds
 /// twice.
 ///

@@ -17,7 +17,7 @@ namespace oasis {
 
 namespace {
 
-/// Per-step bookkeeping shared by all four step paths. The step counter is
+/// Per-step bookkeeping shared by every step path. The step counter is
 /// always cheap; the weight histogram is detail-only (an extra bucket search
 /// per step would be measurable on the fused path).
 inline void RecordOasisStepTelemetry(double weight) {
@@ -84,10 +84,6 @@ Result<std::shared_ptr<const OasisSetup>> OasisSampler::Prepare(
        options.degraded_epsilon > 1.0)) {
     return Status::InvalidArgument(
         "OasisSampler: degraded_epsilon must lie in (0, 1]");
-  }
-  if (options.step_path == OasisStepPath::kShardedFenwick &&
-      options.num_shards == 0) {
-    return Status::InvalidArgument("OasisSampler: num_shards must be >= 1");
   }
   OASIS_RETURN_NOT_OK(strata->Validate());
 
@@ -156,11 +152,7 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
     case OasisStepPath::kAlias:
       OASIS_RETURN_NOT_OK(sampler->InitAlias());
       break;
-    case OasisStepPath::kShardedFenwick:
-      OASIS_RETURN_NOT_OK(sampler->InitShardedFenwick());
-      break;
     case OasisStepPath::kFused:
-    case OasisStepPath::kAllocatingReference:
       break;
   }
   return sampler;
@@ -396,95 +388,6 @@ Status OasisSampler::StepAlias() {
   return Status::OK();
 }
 
-double OasisSampler::ShardedMixtureProbability(size_t k, double total) const {
-  const double omega_k = strata_->weight(k);
-  return total > 0.0 ? active_epsilon_ * omega_k +
-                           (1.0 - active_epsilon_) *
-                               (v_star_forest_.value(k) / total)
-                     : omega_k;
-}
-
-void OasisSampler::RebuildShardedMasses(double f) {
-  const double a2f2 = setup_->alpha_sq * f * f;
-  const double omf2 = (1.0 - f) * (1.0 - f);
-  const double* weights = strata_->weights().data();
-  const double* lambda = setup_->lambda.data();
-  const double* pi = pi_cache_.data();
-  const double* sqrt_pi = sqrt_pi_cache_.data();
-  const double* c_not_pred = setup_->c_not_pred.data();
-  // The fill is strictly elementwise — out[j] depends on the global index
-  // begin + j alone — so ParallelRebuildWith's bit-identity guarantee
-  // extends to the mass computation: any shard/thread count produces the
-  // same forest, bit for bit.
-  OASIS_CHECK_OK(v_star_forest_.ParallelRebuildWith(
-      [&](size_t begin, std::span<double> out) {
-        StratumMassKernel(weights + begin, lambda + begin, pi + begin,
-                          sqrt_pi + begin, c_not_pred + begin, f, a2f2, omf2,
-                          out.data(), out.size());
-      },
-      options_.shard_pool, options_.num_shards));
-  forest_f_ = f;
-}
-
-Status OasisSampler::InitShardedFenwick() {
-  OASIS_ASSIGN_OR_RETURN(weights_alias_, AliasTable::Build(strata_->weights()));
-  OASIS_ASSIGN_OR_RETURN(
-      v_star_forest_,
-      BlockFenwickForest::Build(strata_->weights(),
-                                options_.shard_block_size));  // Sized; masses set below.
-  RebuildShardedMasses(Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0));
-  return Status::OK();
-}
-
-Status OasisSampler::StepShardedFenwick() {
-  // Identical to StepFenwick except the masses live in the blocked forest:
-  // the O(K) drift rebuild shards across options_.shard_pool, draws and the
-  // per-step point update stay O(log K).
-  const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0);
-  const double drift = std::fabs(f - forest_f_);
-  if (drift > options_.fenwick_rebuild_tol) {
-    if (OASIS_TELEMETRY_ON) {
-      static telemetry::Counter& rebuilds =
-          telemetry::DefaultRegistry().AddCounter(
-              "oasis_sampler_sharded_rebuilds_total",
-              "Full O(K) sharded forest mass rebuilds triggered by F-hat "
-              "drift.");
-      static telemetry::Histogram& drift_hist =
-          telemetry::DefaultRegistry().AddHistogram(
-              "oasis_sampler_sharded_rebuild_drift",
-              "|F-hat - forest F| observed at each sharded rebuild.",
-              {1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25});
-      rebuilds.Increment();
-      drift_hist.Observe(drift);
-    }
-    RebuildShardedMasses(f);
-  }
-
-  const double total = v_star_forest_.Total();
-  size_t k;
-  if (total <= 0.0 || rng().NextDouble() < active_epsilon_) {
-    k = weights_alias_.Sample(rng());
-  } else {
-    k = v_star_forest_.FindQuantile(rng().NextDouble() * total);
-  }
-  const int64_t item = strata_->SampleItem(k, rng());
-
-  const double weight =
-      strata_->weight(k) / ShardedMixtureProbability(k, total);
-
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-
-  ObserveLabel(k, label);
-  v_star_forest_.Update(k, StratumMass(k, forest_f_));
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  MaybeDegrade();
-  return Status::OK();
-}
-
 void OasisSampler::ObserveLabel(size_t stratum, bool label) {
   model_.Observe(stratum, label);
   // Only the observed stratum's posterior changed (Eqn. 10 is per-stratum),
@@ -511,7 +414,7 @@ void OasisSampler::RefreshFusedMasses(double f) {
                     setup_->c_not_pred.data() + first, f, a2f2, omf2,
                     fused_mass_.data() + first, count);
   // Re-add the in-order prefix from the first changed stratum on: the same
-  // additions, in the same order, as the reference path's total.
+  // additions, in the same order, as OptimalStratifiedInstrumental's total.
   double acc = first == 0 ? 0.0 : fused_prefix_[first - 1];
   for (size_t i = first; i < num_strata; ++i) {
     acc += fused_mass_[i];
@@ -538,7 +441,7 @@ size_t OasisSampler::ExactFusedDraw(double u, double total) {
   }
   // Normalise, mix and accumulate the running CDF of v(t), allocation-free.
   // Degenerate estimates (every mass zero) fall back to the normalised
-  // stratum weights before mixing, as the reference path does.
+  // stratum weights before mixing, as OptimalStratifiedInstrumental does.
   const size_t num_strata = strata_->num_strata();
   const double* v_star =
       total > 0.0 ? fused_mass_.data() : setup_->fallback_v_star.data();
@@ -568,9 +471,10 @@ Status OasisSampler::StepFused() {
 
   // Line 3: v(t) from the current posterior means and F estimate. The
   // unnormalised v* masses and their prefix sums are kept across steps and
-  // refreshed incrementally; every expression keeps the reference path's
-  // factor grouping and summation order, so a seeded run is bit-identical
-  // to OasisStepPath::kAllocatingReference.
+  // refreshed incrementally; every expression keeps the factor grouping and
+  // summation order of OptimalStratifiedInstrumental + EpsilonGreedyMix, so
+  // a seeded run is bit-identical to the allocating reference sampler in
+  // tests/reference_oasis.h.
   const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0);
   RefreshFusedMasses(f);
   const double total = fused_prefix_[num_strata - 1];
@@ -601,45 +505,6 @@ Status OasisSampler::StepFused() {
   // moved, so only its mass is stale for the next step.
   ObserveLabel(k, label);
   fused_observed_ = k;
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  MaybeDegrade();
-  return Status::OK();
-}
-
-Status OasisSampler::StepAllocatingReference() {
-  const size_t num_strata = strata_->num_strata();
-
-  // Line 3: v(t) from the current posterior means and F estimate, with the
-  // initial Algorithm-2 guess standing in until Eqn. (3) is defined.
-  const double f_current = estimator_.FAlphaOr(setup_->initial_f);
-  v_scratch_.resize(num_strata);
-  {
-    std::vector<double> pi = model_.PosteriorMeans();
-    OASIS_ASSIGN_OR_RETURN(
-        std::vector<double> v_star,
-        OptimalStratifiedInstrumental(strata_->weights(), setup_->lambda, pi, f_current,
-                                      options_.alpha));
-    OASIS_ASSIGN_OR_RETURN(
-        v_scratch_, EpsilonGreedyMix(strata_->weights(), v_star, active_epsilon_));
-  }
-
-  // Lines 4-5: stratum ~ v(t), item uniform within the stratum.
-  const size_t k = rng().NextDiscreteLinear(v_scratch_);
-  const int64_t item = strata_->SampleItem(k, rng());
-
-  // Line 6: importance weight w_t = omega_k / v_k, since p(z) = 1/N and
-  // q_t(z) = v_k / |P_k|. The epsilon floor bounds this by 1/epsilon.
-  const double weight = strata_->weight(k) / v_scratch_[k];
-
-  // Lines 7-8: query oracle, read prediction.
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-
-  // Lines 9-11: posterior update and AIS sums.
-  ObserveLabel(k, label);
   estimator_.Add(weight, label, prediction);
   if (observer_) observer_(weight, label, prediction);
   monitor_.Observe(weight);
@@ -716,14 +581,10 @@ Status OasisSampler::StepFrozen() {
 Status OasisSampler::Step() {
   if (frozen_) return StepFrozen();
   switch (options_.step_path) {
-    case OasisStepPath::kAllocatingReference:
-      return StepAllocatingReference();
     case OasisStepPath::kFenwick:
       return StepFenwick();
     case OasisStepPath::kAlias:
       return StepAlias();
-    case OasisStepPath::kShardedFenwick:
-      return StepShardedFenwick();
     case OasisStepPath::kFused:
       break;
   }
@@ -751,11 +612,6 @@ Status OasisSampler::StepBatch(int64_t n) {
     return Status::OK();
   }
   switch (options_.step_path) {
-    case OasisStepPath::kAllocatingReference:
-      for (int64_t i = 0; i < n; ++i) {
-        OASIS_RETURN_NOT_OK(StepAllocatingReference());
-      }
-      return Status::OK();
     case OasisStepPath::kFenwick:
       for (int64_t i = 0; i < n; ++i) {
         OASIS_RETURN_NOT_OK(StepFenwick());
@@ -764,11 +620,6 @@ Status OasisSampler::StepBatch(int64_t n) {
     case OasisStepPath::kAlias:
       for (int64_t i = 0; i < n; ++i) {
         OASIS_RETURN_NOT_OK(StepAlias());
-      }
-      return Status::OK();
-    case OasisStepPath::kShardedFenwick:
-      for (int64_t i = 0; i < n; ++i) {
-        OASIS_RETURN_NOT_OK(StepShardedFenwick());
       }
       return Status::OK();
     case OasisStepPath::kFused:

@@ -8,9 +8,7 @@
 #include <vector>
 
 #include "common/alias_table.h"
-#include "common/block_fenwick_forest.h"
 #include "common/fenwick_tree.h"
-#include "common/thread_pool.h"
 #include "core/ais_estimator.h"
 #include "core/bayesian_model.h"
 #include "sampling/sampler.h"
@@ -20,13 +18,16 @@
 
 namespace oasis {
 
-/// Which Step() implementation OasisSampler runs. kFused and
-/// kAllocatingReference produce bit-identical sampling sequences from the
-/// same seed (the fused path is simply faster); kFenwick samples from the
-/// same instrumental distribution up to a configurable F-staleness tolerance
-/// but consumes the RNG differently, so it is equivalent in distribution
-/// rather than bit-for-bit (tests/fenwick_step_path_test.cc verifies both
-/// the distributional match and estimator consistency).
+/// Which Step() implementation OasisSampler runs. Every path is a consistent
+/// estimator of the same quantities; they differ in speed and in how stale
+/// an instrumental distribution they tolerate. kFused is the bit-exact default
+/// (paper Algorithm 3; tests/reference_oasis.h holds the allocating
+/// reference it is checked against step for step). kFenwick and kAlias let
+/// the instrumental go stale up to a configurable F-staleness tolerance and
+/// consume the RNG differently, so they are equivalent in distribution rather
+/// than bit-for-bit (tests/fenwick_step_path_test.cc and
+/// tests/alias_step_path_test.cc verify the distributional match and
+/// estimator consistency).
 enum class OasisStepPath {
   /// Zero-allocation fused O(K) step over precomputed per-stratum constants
   /// and incrementally-maintained posterior means, v* masses and mass
@@ -34,11 +35,6 @@ enum class OasisStepPath {
   /// observed on the previous step is recomputed, and the stratum is drawn
   /// from those prefix sums in O(log K) (CertifiedMixtureDraw). The default.
   kFused,
-  /// The original allocating path (PosteriorMeans + OptimalStratified-
-  /// Instrumental + EpsilonGreedyMix, one vector each per step). Kept as the
-  /// reference implementation for equivalence tests and as the benchmark
-  /// baseline the fused path is measured against.
-  kAllocatingReference,
   /// Sub-linear draws: an incrementally-maintained Fenwick tree over the
   /// unnormalised v* masses gives O(log K) single-stratum updates and
   /// O(log K) inverse-CDF draws, with the epsilon-greedy mix realised as a
@@ -65,17 +61,6 @@ enum class OasisStepPath {
   /// K >= 100k) where even O(log K) per draw shows up; see
   /// docs/BENCHMARKING.md for the Fenwick-vs-alias race.
   kAlias,
-  /// kFenwick with the tree sharded into fixed 2^n-sized blocks
-  /// (BlockFenwickForest): the O(K) drift rebuilds recompute block masses in
-  /// parallel on OasisOptions::shard_pool while draws and single-stratum
-  /// updates stay O(log K). The numeric summation layout is a function of
-  /// shard_block_size alone — num_shards and the pool's thread count only
-  /// schedule work — so results are bit-identical at any shard/thread count
-  /// (tests/sharded_pool_test.cc pins this with golden hexfloat curves).
-  /// NOT bit-equal to kFenwick (the blocked tree rounds its partial sums
-  /// differently), but equivalent in distribution. Prefer at K >= 100k when
-  /// a ThreadPool is available to absorb rebuild latency.
-  kShardedFenwick,
 };
 
 /// Tunables of Algorithm 3. Defaults follow the paper's experiments
@@ -93,10 +78,10 @@ struct OasisOptions {
   bool decay_prior = true;
   /// Hot-path selection; see OasisStepPath.
   OasisStepPath step_path = OasisStepPath::kFused;
-  /// Drift gate of every rebuild-on-drift path (kFenwick, kShardedFenwick,
-  /// kAlias): how far |F-hat| may drift from the value the maintained masses
-  /// were computed with before a full O(K) rebuild is forced. For kAlias the
-  /// same tolerance additionally gates the accumulated L1 posterior-mass
+  /// Drift gate of both rebuild-on-drift paths (kFenwick, kAlias): how far
+  /// |F-hat| may drift from the value the maintained masses were computed
+  /// with before a full O(K) rebuild is forced. For kAlias the same
+  /// tolerance additionally gates the accumulated L1 posterior-mass
   /// drift (as a fraction of the table's total mass), since the alias
   /// snapshot cannot absorb single-stratum updates. 0 means rebuild whenever
   /// anything changed at all (the exact v(t) at O(K) on almost every early
@@ -107,21 +92,6 @@ struct OasisOptions {
   /// affects how close the instrumental is to the optimum (variance), never
   /// correctness. Must be finite and >= 0.
   double fenwick_rebuild_tol = 1e-2;
-  /// kShardedFenwick only: scheduling shard count for the parallel O(K)
-  /// rebuilds. Purely a work-partitioning knob — results are bit-identical
-  /// for any value (>= 1). Ignored (serial rebuilds) when shard_pool is
-  /// null.
-  size_t num_shards = 1;
-  /// kShardedFenwick only: pool the drift rebuilds are sharded onto. The
-  /// pool must outlive the sampler. Null runs rebuilds serially on the
-  /// calling thread (still over the blocked layout, so results match the
-  /// pooled run bit-for-bit).
-  ThreadPool* shard_pool = nullptr;
-  /// kShardedFenwick only: numeric block size of the BlockFenwickForest.
-  /// This — and only this — fixes the floating-point summation layout, so
-  /// changing it changes results (bitwise); changing num_shards or the
-  /// pool's thread count never does. Must be a power of two.
-  size_t shard_block_size = 4096;
   /// Thresholds of the always-on importance-weight health monitor (see
   /// DegeneracyMonitor; diagnostics are collected regardless of
   /// degrade_on_degeneracy).
@@ -172,13 +142,15 @@ struct OasisSetup {
   std::vector<double> prior_means;
   /// Square roots of prior_means.
   std::vector<double> prior_sqrt_means;
-  /// (1 - alpha) * (1 - lambda_k), with the factor grouping of the reference
-  /// v* formula so the fused scan stays bit-identical to it.
+  /// (1 - alpha) * (1 - lambda_k), with the factor grouping of
+  /// OptimalStratifiedInstrumental's v* formula so the fused scan stays
+  /// bit-identical to it.
   std::vector<double> c_not_pred;
   /// alpha^2.
   double alpha_sq = 0.0;
-  /// The stratum weights normalised exactly as the reference path does when
-  /// every v* mass is zero (the degenerate fallback of the fused step).
+  /// The stratum weights normalised exactly as OptimalStratifiedInstrumental
+  /// does when every v* mass is zero (the degenerate fallback of the fused
+  /// step).
   std::vector<double> fallback_v_star;
   /// In-order prefix sums of the stratum weights (the last entry is their
   /// total): the epsilon half of the fused step's certified draw.
@@ -317,18 +289,12 @@ class OasisSampler : public Sampler {
   size_t ExactFusedDraw(double u, double total);
   /// Probability of stratum k under the epsilon-greedy mixture the fused
   /// step samples from (`total` = the summed v* masses, <= 0 selects the
-  /// normalised-weights fallback), with the reference path's exact rounding.
+  /// normalised-weights fallback), with EpsilonGreedyMix's exact rounding.
   double FusedMixtureProbability(size_t k, double total) const;
-  /// The original allocating iteration, kept as reference and benchmark
-  /// baseline (OasisStepPath::kAllocatingReference).
-  Status StepAllocatingReference();
   /// The O(log K) Fenwick-tree iteration (OasisStepPath::kFenwick).
   Status StepFenwick();
   /// The O(1) alias-table iteration (OasisStepPath::kAlias).
   Status StepAlias();
-  /// The sharded-rebuild Fenwick-forest iteration
-  /// (OasisStepPath::kShardedFenwick).
-  Status StepShardedFenwick();
   /// The degraded-mode iteration: draw from the frozen instrumental
   /// distribution, weight against it (full support — consistency holds),
   /// keep posterior and diagnostics updating.
@@ -345,9 +311,6 @@ class OasisSampler : public Sampler {
   /// One-time kAlias setup: the weights alias table, the mass scratch and
   /// the initial v* alias table. Called from Create().
   Status InitAlias();
-  /// One-time kShardedFenwick setup: the weights alias table and the initial
-  /// blocked mass build. Called from Create().
-  Status InitShardedFenwick();
   /// Unnormalised v* mass of stratum k under F estimate `f`, with exactly the
   /// factor grouping of the fused scan.
   double StratumMass(size_t k, double f) const;
@@ -368,14 +331,6 @@ class OasisSampler : public Sampler {
   /// built), refreshes the v* alias table in place and resets the drift
   /// accumulators.
   void RebuildAliasMasses(double f);
-  /// Probability of stratum k under the epsilon-greedy mixture the sharded
-  /// Fenwick draw actually samples from (`total` = v_star_forest_.Total(),
-  /// <= 0 selects the degenerate omega fallback).
-  double ShardedMixtureProbability(size_t k, double total) const;
-  /// Recomputes every blocked Fenwick mass under `f`, sharding the O(K) work
-  /// across options_.shard_pool (serially when null). Bit-identical at any
-  /// shard/thread count. Records `f` as the build point.
-  void RebuildShardedMasses(double f);
   /// Records the label in the beta posterior and refreshes the incremental
   /// caches for the observed stratum (the only one whose mean can change).
   void ObserveLabel(size_t stratum, bool label);
@@ -454,13 +409,6 @@ class OasisSampler : public Sampler {
   double alias_drift_ = 0.0;
   // True when the last rebuild found all-zero masses (the omega fallback).
   bool alias_degenerate_ = false;
-  // --- Sharded-Fenwick-path state ----------------------------------------
-  // Blocked v* masses for parallel rebuilds. Empty unless step_path ==
-  // kShardedFenwick.
-  BlockFenwickForest v_star_forest_;
-  // F-hat the forest masses were last (re)built with; < 0 until
-  // InitShardedFenwick.
-  double forest_f_ = -1.0;
 };
 
 }  // namespace oasis

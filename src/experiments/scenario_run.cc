@@ -14,6 +14,20 @@
 namespace oasis {
 namespace experiments {
 
+namespace {
+
+/// The one list of step_path names: Validate and MakeMethodByName both go
+/// through it, so the accepted names and the error text live here alone.
+Result<OasisStepPath> StepPathFromName(const std::string& name) {
+  if (name == "fused") return OasisStepPath::kFused;
+  if (name == "fenwick") return OasisStepPath::kFenwick;
+  if (name == "alias") return OasisStepPath::kAlias;
+  return Status::InvalidArgument("unknown step_path '" + name +
+                                 "' (expected fused, fenwick, or alias)");
+}
+
+}  // namespace
+
 Status ScenarioRunOptions::Validate() const {
   if (method != "passive" && method != "stratified" && method != "is" &&
       method != "oasis") {
@@ -40,14 +54,7 @@ Status ScenarioRunOptions::Validate() const {
     return Status::InvalidArgument(
         "ScenarioRunOptions: strata must be positive");
   }
-  if (step_path != "fused" && step_path != "reference" &&
-      step_path != "fenwick" && step_path != "alias" &&
-      step_path != "sharded-fenwick") {
-    return Status::InvalidArgument(
-        "ScenarioRunOptions: unknown step_path '" + step_path +
-        "' (expected fused, reference, fenwick, alias, or sharded-fenwick)");
-  }
-  return Status::OK();
+  return StepPathFromName(step_path).status();
 }
 
 Result<ScenarioRunOptions> ScenarioRunOptions::FromConfig(
@@ -76,19 +83,6 @@ Result<ScenarioRunOptions> ScenarioRunOptions::FromConfig(
   OASIS_RETURN_NOT_OK(options.Validate());
   return options;
 }
-
-namespace {
-
-Result<OasisStepPath> StepPathFromName(const std::string& name) {
-  if (name == "fused") return OasisStepPath::kFused;
-  if (name == "reference") return OasisStepPath::kAllocatingReference;
-  if (name == "fenwick") return OasisStepPath::kFenwick;
-  if (name == "alias") return OasisStepPath::kAlias;
-  if (name == "sharded-fenwick") return OasisStepPath::kShardedFenwick;
-  return Status::InvalidArgument("unknown step_path '" + name + "'");
-}
-
-}  // namespace
 
 Result<MethodSpec> MakeMethodByName(const std::string& method, double alpha,
                                     const ScoredPool& pool,

@@ -1,5 +1,5 @@
 // Bit-identity of the incremental fused OASIS step against the allocating
-// reference path. The fused step keeps its v* masses and their prefix sums
+// reference sampler (tests/reference_oasis.h). The fused step keeps its v* masses and their prefix sums
 // across steps and recomputes only the previously observed stratum while
 // F-hat is bit-for-bit unchanged; these tests step both paths side by side
 // and demand the same stratum, weight and estimate at every step — across
@@ -16,35 +16,46 @@
 #include "strata/csf.h"
 #include "strata/equal_size.h"
 #include "telemetry/telemetry.h"
+#include "tests/reference_oasis.h"
 #include "tests/test_util.h"
 
 namespace oasis {
 namespace {
 
+using testutil::ReferenceOasisSampler;
+
 /// One sampler plus what its observer saw on the latest step.
+template <typename SamplerT>
 struct Probe {
   std::unique_ptr<LabelCache> labels;
-  std::unique_ptr<OasisSampler> sampler;
+  std::unique_ptr<SamplerT> sampler;
   double last_weight = -1.0;
 };
 
-Probe MakeProbe(const ScoredPool& pool, const Oracle& oracle,
-                std::shared_ptr<const Strata> strata, OasisOptions options,
-                OasisStepPath path, uint64_t seed) {
-  Probe probe;
+/// A kFused OasisSampler or a ReferenceOasisSampler over a fresh setup.
+template <typename SamplerT>
+Probe<SamplerT> MakeProbe(const ScoredPool& pool, const Oracle& oracle,
+                          std::shared_ptr<const Strata> strata,
+                          const OasisOptions& options, uint64_t seed) {
+  Probe<SamplerT> probe;
   probe.labels = std::make_unique<LabelCache>(&oracle);
-  options.step_path = path;
-  probe.sampler = OasisSampler::Create(&pool, probe.labels.get(),
-                                       std::move(strata), options, Rng(seed))
-                      .ValueOrDie();
+  auto setup =
+      OasisSampler::Prepare(&pool, std::move(strata), options).ValueOrDie();
+  probe.sampler =
+      SamplerT::Create(std::move(setup), probe.labels.get(), Rng(seed))
+          .ValueOrDie();
   double* last_weight = &probe.last_weight;
   probe.sampler->SetObserver(
       [last_weight](double weight, bool, bool) { *last_weight = weight; });
   return probe;
 }
 
+using FusedProbe = Probe<OasisSampler>;
+using ReferenceProbe = Probe<ReferenceOasisSampler>;
+
 /// The stratum whose visit count grew between `before` and now.
-size_t ObservedStratum(const OasisSampler& sampler,
+template <typename SamplerT>
+size_t ObservedStratum(const SamplerT& sampler,
                        const std::vector<int64_t>& before) {
   for (size_t k = 0; k < before.size(); ++k) {
     if (sampler.model().labels_observed(k) != before[k]) return k;
@@ -53,7 +64,8 @@ size_t ObservedStratum(const OasisSampler& sampler,
   return before.size();
 }
 
-std::vector<int64_t> VisitCounts(const OasisSampler& sampler) {
+template <typename SamplerT>
+std::vector<int64_t> VisitCounts(const SamplerT& sampler) {
   std::vector<int64_t> counts(sampler.strata().num_strata());
   for (size_t k = 0; k < counts.size(); ++k) {
     counts[k] = sampler.model().labels_observed(k);
@@ -90,7 +102,8 @@ struct StepCounts {
   int f_changed = 0;
 };
 
-StepCounts StepSideBySide(Probe& fused, Probe& reference, int steps) {
+StepCounts StepSideBySide(FusedProbe& fused, ReferenceProbe& reference,
+                          int steps) {
   StepCounts counts;
   for (int step = 0; step < steps; ++step) {
     const double f_before = fused.sampler->Estimate().f_alpha;
@@ -126,10 +139,10 @@ TEST(FusedIncrementalTest, MatchesReferenceWhetherOrNotFHatMoves) {
 
   telemetry::ScopedEnable telemetry_on(true);
   const int64_t exact_before = ExactDraws();
-  Probe fused = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
-                          OasisStepPath::kFused, 31);
-  Probe reference = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
-                              OasisStepPath::kAllocatingReference, 31);
+  FusedProbe fused =
+      MakeProbe<OasisSampler>(pool.scored, oracle, strata, OasisOptions{}, 31);
+  ReferenceProbe reference = MakeProbe<ReferenceOasisSampler>(
+      pool.scored, oracle, strata, OasisOptions{}, 31);
   const StepCounts counts = StepSideBySide(fused, reference, 2000);
   // Both branches of the fused refresh must have been exercised.
   EXPECT_GT(counts.f_unchanged, 100);
@@ -160,11 +173,10 @@ TEST(FusedIncrementalTest, MatchesReferenceAtOneAndAThousandStrata) {
     auto strata = std::make_shared<const Strata>(
         StratifyEqualSize(pool.scored.scores, num_strata).ValueOrDie());
     ASSERT_EQ(strata->num_strata(), num_strata);
-    Probe fused = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
-                            OasisStepPath::kFused, 3 + num_strata);
-    Probe reference = MakeProbe(pool.scored, oracle, strata, OasisOptions{},
-                                OasisStepPath::kAllocatingReference,
-                                3 + num_strata);
+    FusedProbe fused = MakeProbe<OasisSampler>(
+        pool.scored, oracle, strata, OasisOptions{}, 3 + num_strata);
+    ReferenceProbe reference = MakeProbe<ReferenceOasisSampler>(
+        pool.scored, oracle, strata, OasisOptions{}, 3 + num_strata);
     const StepCounts counts = StepSideBySide(fused, reference, 1500);
     EXPECT_GT(counts.f_unchanged, 50);
     EXPECT_GT(counts.f_changed, 50);
@@ -199,10 +211,10 @@ TEST(FusedIncrementalTest, AllZeroMassFallbackMatchesReference) {
   options.alpha = 0.0;
   telemetry::ScopedEnable telemetry_on(true);
   const int64_t exact_before = ExactDraws();
-  Probe fused =
-      MakeProbe(scored, oracle, strata, options, OasisStepPath::kFused, 5);
-  Probe reference = MakeProbe(scored, oracle, strata, options,
-                              OasisStepPath::kAllocatingReference, 5);
+  FusedProbe fused =
+      MakeProbe<OasisSampler>(scored, oracle, strata, options, 5);
+  ReferenceProbe reference =
+      MakeProbe<ReferenceOasisSampler>(scored, oracle, strata, options, 5);
   ASSERT_EQ(fused.sampler->initial_f(), 1.0);
   StepSideBySide(fused, reference, 600);
   // The certified draw cannot decide on a zero total: every step ran the
@@ -236,10 +248,10 @@ TEST(FusedIncrementalTest, DegradationEpsilonBoostMatchesReference) {
   options.degeneracy.min_observations = 64;
   options.degeneracy.ess_floor_fraction = 0.9;
   options.degeneracy.tail_mass_ceiling = 2.0;
-  Probe fused =
-      MakeProbe(pool.scored, oracle, strata, options, OasisStepPath::kFused, 11);
-  Probe reference = MakeProbe(pool.scored, oracle, strata, options,
-                              OasisStepPath::kAllocatingReference, 11);
+  FusedProbe fused =
+      MakeProbe<OasisSampler>(pool.scored, oracle, strata, options, 11);
+  ReferenceProbe reference = MakeProbe<ReferenceOasisSampler>(
+      pool.scored, oracle, strata, options, 11);
 
   int steps = 0;
   while (!fused.sampler->degraded() && steps < 4000 && !HasFailure()) {

@@ -2,9 +2,9 @@
 // pool-scale sampling layer must stay correct past one million entries.
 //
 // This is the test half of an int-width audit: every container on the
-// sampling hot path indexes with size_t (FenwickTree, BlockFenwickForest,
-// AliasTable slots are uint32_t with an explicit capacity guard, Strata item
-// ids are int32_t behind an explicit pool-size guard). These tests pin the
+// sampling hot path indexes with size_t (FenwickTree; AliasTable slots are
+// uint32_t with an explicit capacity guard, Strata item ids are int32_t
+// behind an explicit pool-size guard). These tests pin the
 // behaviour at K >= 1M — deliberately past every power-of-two boundary a
 // 20-bit or 16-bit intermediate would wrap at — so a future refactor that
 // narrows an index type fails here instead of corrupting estimates silently.
@@ -18,10 +18,8 @@
 #include <vector>
 
 #include "common/alias_table.h"
-#include "common/block_fenwick_forest.h"
 #include "common/fenwick_tree.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/oasis.h"
 #include "oracle/ground_truth_oracle.h"
 #include "oracle/label_cache.h"
@@ -101,33 +99,6 @@ TEST(LargeKOverflowTest, AliasTableAtAMillionEntries) {
   EXPECT_GT(spike_hits, 1900u);
 }
 
-TEST(LargeKOverflowTest, BlockFenwickForestAtAMillionEntries) {
-  const std::vector<double> masses = BigMasses();
-  BlockFenwickForest forest =
-      BlockFenwickForest::Build(masses, 4096).ValueOrDie();
-  ASSERT_EQ(forest.size(), kBigN);
-  EXPECT_DOUBLE_EQ(forest.value(kBigN - 1), MassAt(kBigN - 1));
-
-  // Update at the last index of the (partial) last block, then route a
-  // quantile there: block selection and within-block descent both cross the
-  // 2^20 boundary.
-  forest.Update(kBigN - 1, 1e6);
-  EXPECT_DOUBLE_EQ(forest.value(kBigN - 1), 1e6);
-  EXPECT_EQ(forest.FindQuantile(forest.Total() * (1.0 - 1e-12)), kBigN - 1);
-
-  // A sharded rebuild at this size must reproduce the serial layout exactly
-  // (spot-checked across the range; the exhaustive bit-identity sweep lives
-  // in sharded_pool_test.cc at smaller sizes).
-  ThreadPool pool(8);
-  ASSERT_TRUE(forest.ParallelRebuild(masses, &pool, 8).ok());
-  BlockFenwickForest serial = BlockFenwickForest::Build(masses, 4096).ValueOrDie();
-  EXPECT_EQ(forest.Total(), serial.Total());
-  for (const size_t i : {size_t{0}, size_t{4095}, size_t{4096}, kBigN / 2,
-                         kBigN - 2, kBigN - 1}) {
-    EXPECT_EQ(forest.value(i), serial.value(i)) << i;
-  }
-}
-
 TEST(LargeKOverflowTest, StrataAtAMillionStrata) {
   // Two items per stratum, K = 2^19 + ... built from a 2^20+2 item pool —
   // compaction, weights, and reverse lookup all past the 20-bit line.
@@ -170,8 +141,7 @@ TEST(LargeKOverflowTest, OasisSamplerStepsAtAMillionStrata) {
 
   GroundTruthOracle oracle(pool.truth);
   for (const OasisStepPath path :
-       {OasisStepPath::kFenwick, OasisStepPath::kAlias,
-        OasisStepPath::kShardedFenwick}) {
+       {OasisStepPath::kFenwick, OasisStepPath::kAlias}) {
     LabelCache labels(&oracle);
     OasisOptions options;
     options.step_path = path;

@@ -243,10 +243,19 @@ TEST(ScenarioVerifyTest, PoolScaleAdaptiveRunOnTheBreakerIsRejected) {
 
 TEST(ScenarioVerifyTest, UnknownStepPathIsRejectedByValidation) {
   ScenarioRunOptions options;
-  options.step_path = "treap";
-  EXPECT_FALSE(options.Validate().ok());
-  options.step_path = "sharded-fenwick";
-  EXPECT_TRUE(options.Validate().ok());
+  for (const char* rejected : {"treap", "sharded-fenwick", "reference"}) {
+    options.step_path = rejected;
+    const Status status = options.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << rejected;
+    // The error names every accepted path.
+    EXPECT_NE(status.message().find("fused, fenwick, or alias"),
+              std::string::npos)
+        << status.message();
+  }
+  for (const char* accepted : {"fused", "fenwick", "alias"}) {
+    options.step_path = accepted;
+    EXPECT_TRUE(options.Validate().ok()) << accepted;
+  }
 }
 
 TEST(ScenarioVerifyTest, BudgetBeyondADeterministicPoolIsRejected) {

@@ -1,8 +1,6 @@
 // Equivalence tests for the batched / zero-allocation sampling hot path:
-//  * the *Into variants produce exactly the values of their allocating
-//    reference functions;
-//  * OasisSampler's fused step path is bit-for-bit identical to the original
-//    allocating reference path;
+//  * OasisSampler's fused step path is bit-for-bit identical to the
+//    allocating reference sampler (tests/reference_oasis.h);
 //  * StepBatch(n) equals n calls to Step() exactly, for every sampler;
 //  * the batched RunTrajectory matches the original per-step driver loop;
 //  * the fused OASIS step performs zero heap allocations.
@@ -15,8 +13,6 @@
 #include <new>
 #include <vector>
 
-#include "core/bayesian_model.h"
-#include "core/instrumental.h"
 #include "core/oasis.h"
 #include "oracle/ground_truth_oracle.h"
 #include "sampling/importance.h"
@@ -24,6 +20,7 @@
 #include "sampling/stratified.h"
 #include "sampling/trajectory.h"
 #include "strata/csf.h"
+#include "tests/reference_oasis.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -65,103 +62,6 @@ void ExpectSnapshotsIdentical(const EstimateSnapshot& a,
   EXPECT_EQ(a.recall, b.recall);
 }
 
-// --- Into variants vs allocating reference functions ----------------------
-
-TEST(IntoVariantsTest, OptimalStratifiedInstrumentalIntoMatches) {
-  Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t k = 1 + static_cast<size_t>(rng.NextBounded(40));
-    std::vector<double> weights(k), lambda(k), pi(k);
-    double weight_total = 0.0;
-    for (size_t i = 0; i < k; ++i) {
-      weights[i] = rng.NextDouble() + 1e-3;
-      weight_total += weights[i];
-      lambda[i] = rng.NextDouble();
-      pi[i] = rng.NextDouble();
-    }
-    for (double& w : weights) w /= weight_total;
-    const double f = rng.NextDouble();
-    const double alpha = rng.NextDouble();
-
-    const std::vector<double> reference =
-        OptimalStratifiedInstrumental(weights, lambda, pi, f, alpha).ValueOrDie();
-    std::vector<double> out(k, -1.0);
-    ASSERT_TRUE(OptimalStratifiedInstrumentalInto(weights, lambda, pi, f, alpha,
-                                                  std::span<double>(out))
-                    .ok());
-    for (size_t i = 0; i < k; ++i) EXPECT_EQ(out[i], reference[i]);
-  }
-}
-
-TEST(IntoVariantsTest, OptimalStratifiedInstrumentalIntoDegenerateFallback) {
-  // F = 0 and pi = 0 zero out every mass; both paths must fall back to the
-  // normalised stratum weights.
-  const std::vector<double> weights{0.25, 0.75};
-  const std::vector<double> lambda{0.0, 0.0};
-  const std::vector<double> pi{0.0, 0.0};
-  const std::vector<double> reference =
-      OptimalStratifiedInstrumental(weights, lambda, pi, 0.0, 0.5).ValueOrDie();
-  std::vector<double> out(2);
-  ASSERT_TRUE(OptimalStratifiedInstrumentalInto(weights, lambda, pi, 0.0, 0.5,
-                                                std::span<double>(out))
-                  .ok());
-  EXPECT_EQ(out[0], reference[0]);
-  EXPECT_EQ(out[1], reference[1]);
-  EXPECT_DOUBLE_EQ(out[0] + out[1], 1.0);
-}
-
-TEST(IntoVariantsTest, OptimalStratifiedInstrumentalIntoRejectsBadOut) {
-  const std::vector<double> w{0.5, 0.5};
-  const std::vector<double> lambda{0.0, 1.0};
-  const std::vector<double> pi{0.1, 0.9};
-  std::vector<double> short_out(1);
-  EXPECT_FALSE(OptimalStratifiedInstrumentalInto(w, lambda, pi, 0.5, 0.5,
-                                                 std::span<double>(short_out))
-                   .ok());
-}
-
-TEST(IntoVariantsTest, EpsilonGreedyMixIntoMatchesAndSupportsAliasing) {
-  Rng rng(11);
-  const size_t k = 17;
-  std::vector<double> weights(k), v_star(k);
-  for (size_t i = 0; i < k; ++i) {
-    weights[i] = rng.NextDouble();
-    v_star[i] = rng.NextDouble();
-  }
-  const double epsilon = 0.05;
-  const std::vector<double> reference =
-      EpsilonGreedyMix(weights, v_star, epsilon).ValueOrDie();
-
-  std::vector<double> out(k);
-  ASSERT_TRUE(
-      EpsilonGreedyMixInto(weights, v_star, epsilon, std::span<double>(out)).ok());
-  for (size_t i = 0; i < k; ++i) EXPECT_EQ(out[i], reference[i]);
-
-  // In-place: out aliases v_star, the mode the hot path uses.
-  std::vector<double> in_place = v_star;
-  ASSERT_TRUE(EpsilonGreedyMixInto(weights, in_place, epsilon,
-                                   std::span<double>(in_place))
-                  .ok());
-  for (size_t i = 0; i < k; ++i) EXPECT_EQ(in_place[i], reference[i]);
-}
-
-TEST(IntoVariantsTest, PosteriorMeansIntoMatches) {
-  const std::vector<double> prior{0.1, 0.5, 0.9};
-  StratifiedBetaModel model =
-      StratifiedBetaModel::Create(prior, 6.0, /*decay_prior=*/true).ValueOrDie();
-  Rng rng(13);
-  for (int i = 0; i < 200; ++i) {
-    model.Observe(static_cast<size_t>(rng.NextBounded(3)), rng.NextBernoulli(0.4));
-  }
-  const std::vector<double> reference = model.PosteriorMeans();
-  std::vector<double> out(3);
-  ASSERT_TRUE(model.PosteriorMeansInto(std::span<double>(out)).ok());
-  for (size_t k = 0; k < 3; ++k) EXPECT_EQ(out[k], reference[k]);
-
-  std::vector<double> short_out(2);
-  EXPECT_FALSE(model.PosteriorMeansInto(std::span<double>(short_out)).ok());
-}
-
 // --- Fused vs allocating reference step path ------------------------------
 
 TEST(OasisStepPathTest, FusedMatchesAllocatingReferenceBitForBit) {
@@ -170,25 +70,30 @@ TEST(OasisStepPathTest, FusedMatchesAllocatingReferenceBitForBit) {
   pool_options.seed = 321;
   const testutil::SyntheticPool pool = testutil::MakeSyntheticPool(pool_options);
   GroundTruthOracle oracle(pool.truth);
-
-  OasisOptions fused_options;
-  fused_options.step_path = OasisStepPath::kFused;
-  OasisOptions reference_options;
-  reference_options.step_path = OasisStepPath::kAllocatingReference;
+  auto strata = std::make_shared<const Strata>(
+      StratifyCsf(pool.scored.scores, 30, pool.scored.scores_are_probabilities)
+          .ValueOrDie());
+  auto setup =
+      OasisSampler::Prepare(&pool.scored, strata, OasisOptions{}).ValueOrDie();
+  ASSERT_EQ(setup->options.step_path, OasisStepPath::kFused);
 
   LabelCache fused_labels(&oracle);
   LabelCache reference_labels(&oracle);
   const uint64_t seed = 2026;
-  auto fused = OasisSampler::CreateWithCsf(&pool.scored, &fused_labels, 30,
-                                           fused_options, Rng(seed))
-                   .ValueOrDie();
-  auto reference = OasisSampler::CreateWithCsf(&pool.scored, &reference_labels,
-                                               30, reference_options, Rng(seed))
+  auto fused =
+      OasisSampler::Create(setup, &fused_labels, Rng(seed)).ValueOrDie();
+  auto reference = testutil::ReferenceOasisSampler::Create(
+                       setup, &reference_labels, Rng(seed))
                        .ValueOrDie();
+  double fused_weight = -1.0;
+  double reference_weight = -1.0;
+  fused->SetObserver([&](double w, bool, bool) { fused_weight = w; });
+  reference->SetObserver([&](double w, bool, bool) { reference_weight = w; });
 
   for (int step = 0; step < 800; ++step) {
     ASSERT_TRUE(fused->Step().ok());
     ASSERT_TRUE(reference->Step().ok());
+    EXPECT_EQ(fused_weight, reference_weight) << "step " << step;
     ExpectSnapshotsIdentical(fused->Estimate(), reference->Estimate());
   }
   EXPECT_EQ(fused->labels_consumed(), reference->labels_consumed());
@@ -467,13 +372,11 @@ TEST_F(StepBatchTest, FusedStepPerformsZeroHeapAllocations) {
   ASSERT_TRUE(step_status.ok());
   EXPECT_EQ(g_allocation_count.load(), 0);
 
-  // The allocating reference path really does allocate per step — the
-  // baseline the benchmark compares against is not accidentally fused too.
-  OasisOptions reference_options;
-  reference_options.step_path = OasisStepPath::kAllocatingReference;
+  // Positive control: the allocating reference sampler really does allocate
+  // per step, so the counting hooks above can see an allocation.
   LabelCache reference_labels(oracle_.get());
-  auto reference = OasisSampler::Create(&pool_.scored, &reference_labels,
-                                        strata_, reference_options, Rng(21))
+  auto reference = testutil::ReferenceOasisSampler::Create(
+                       sampler->setup(), &reference_labels, Rng(21))
                        .ValueOrDie();
   ASSERT_TRUE(reference->StepBatch(32).ok());
   g_allocation_count.store(0);

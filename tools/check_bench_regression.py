@@ -8,8 +8,8 @@ snapshot and fails (exit 1) when any gated benchmark drops below
 Only benchmarks whose name starts with one of the comma-separated --filter
 prefixes (default: the OASIS step paths, ``BM_OasisStep``) are gated; other
 entries in either file are ignored, so the baseline can be regenerated from a
-filtered run. Example: --filter BM_OasisStep,BM_BlockForestRebuild gates the
-step paths and the sharded-rebuild kernel together.
+filtered run. Example: --filter BM_OasisStep,BM_OasisCreate gates the step
+paths and per-repeat sampler creation together.
 
 A gated benchmark that exists in the baseline but is MISSING from the current
 run is a hard failure: a silently skipped benchmark reads as "no regression"
@@ -359,20 +359,20 @@ def _self_test():
             self.assertNotIn("Traceback", err)
 
         def test_comma_separated_filter_gates_every_prefix(self):
-            # Both families gated: the forest regression must fail the run
+            # Both families gated: the creation regression must fail the run
             # even though the step-path family is clean.
             code, _, err = self.run_gate_with(
-                {"BM_OasisStep/10": 100.0, "BM_BlockForestRebuild/8": 50.0},
-                {"BM_OasisStep/10": 100.0, "BM_BlockForestRebuild/8": 100.0},
-                filter="BM_OasisStep,BM_BlockForestRebuild")
+                {"BM_OasisStep/10": 100.0, "BM_OasisCreate/30": 50.0},
+                {"BM_OasisStep/10": 100.0, "BM_OasisCreate/30": 100.0},
+                filter="BM_OasisStep,BM_OasisCreate")
             self.assertEqual(code, 1)
-            self.assertIn("BM_BlockForestRebuild/8", err)
+            self.assertIn("BM_OasisCreate/30", err)
 
         def test_comma_separated_filter_ignores_unlisted_prefixes(self):
             code, _, _ = self.run_gate_with(
                 {"BM_OasisStep/10": 100.0, "BM_Unrelated": 1.0},
                 {"BM_OasisStep/10": 100.0, "BM_Unrelated": 100.0},
-                filter="BM_OasisStep,BM_BlockForestRebuild")
+                filter="BM_OasisStep,BM_OasisCreate")
             self.assertEqual(code, 0)
 
         def test_empty_filter_match_fails(self):
