@@ -567,6 +567,54 @@ void BM_RetryOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_RetryOverhead)->Arg(0)->Arg(1)->Arg(2);
 
+/// The served OASIS step: fused K=30 on the noisy-flip05 scenario, so every
+/// step is one charged one-item label request — the label-sequential regime
+/// `oasis_serve` runs. range(0) = 0: the bare noisy oracle (infallible
+/// path); 1: through the serve-noisy-stack workload's stack, built by
+/// OracleStackBuilder — fault injection (transient 0.05, timeout 0.01, item
+/// drop 0.02) under the default remote latency model under retry (8
+/// attempts), so faults really fire and are retried. The gap between the
+/// rows is the fallible stack's per-label cost; `attempts_per_label` counts
+/// the retry layer's attempts per step (row 1 only).
+void BM_FallibleOasisStep(benchmark::State& state) {
+  const bool stacked = state.range(0) != 0;
+  static const datagen::ScenarioPool* pool = new datagen::ScenarioPool(
+      datagen::GenerateScenario(
+          datagen::ScenarioByName("noisy-flip05").ValueOrDie())
+          .ValueOrDie());
+  const std::unique_ptr<Oracle> noisy =
+      datagen::MakeScenarioOracle(*pool).ValueOrDie();
+  OracleStackBuilder builder;
+  if (stacked) {
+    FaultInjectionOptions faults;
+    faults.transient_failure_rate = 0.05;
+    faults.timeout_rate = 0.01;
+    faults.item_drop_rate = 0.02;
+    RetryPolicy policy;
+    policy.max_attempts = 8;
+    builder.FaultInjection(faults).Remote(RemoteOracleOptions{}).Retry(policy);
+  }
+  const OracleStack stack = builder.Build(noisy.get()).ValueOrDie();
+  LabelCache labels(&stack.top());
+  OasisOptions options;
+  options.alpha = pool->spec.alpha;
+  auto sampler = OasisSampler::CreateWithCsf(&pool->scored, &labels, 30,
+                                             options, Rng(4))
+                     .ValueOrDie();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler->Step().ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["K"] = static_cast<double>(sampler->strata().num_strata());
+  if (stacked && state.iterations() > 0) {
+    state.counters["attempts_per_label"] =
+        static_cast<double>(stack.retrying()->stats().attempts) /
+        static_cast<double>(labels.labels_consumed());
+  }
+  state.SetLabel(stacked ? "noisy, fault+remote+retry" : "noisy, bare");
+}
+BENCHMARK(BM_FallibleOasisStep)->Arg(0)->Arg(1);
+
 /// Telemetry cost on the hottest loop in the repo: the fused OASIS step at
 /// K=1000, with the registry runtime switch range(0) = 0: off (the production
 /// default — one relaxed atomic load per instrumented site), 1: on (counters

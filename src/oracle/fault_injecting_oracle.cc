@@ -69,33 +69,39 @@ Status FaultInjectingOracle::TryLabelBatch(std::span<const int64_t> items,
     return inner_->TryLabelBatch(items, rng, out, resolved);
   }
 
-  // Partial batch: drop each item independently, delegate the surviving
-  // subset in original order, and scatter the results back. Delegating a
-  // subset keeps the inner oracle's per-item work identical to a direct
-  // request for exactly those items — the canonical (RNG-free deterministic)
-  // inner oracles return the same labels whichever subsets they arrive in.
-  std::vector<int64_t> kept_items;
-  std::vector<size_t> kept_positions;
-  kept_items.reserve(items.size());
-  kept_positions.reserve(items.size());
+  // Partial batch: draw every item's drop decision first, in item order,
+  // marking the survivors in `resolved`. When nothing dropped, the caller's
+  // buffers go straight down; otherwise the surviving subset is delegated in
+  // original order and the results scattered back. Delegating a subset keeps
+  // the inner oracle's per-item work identical to a direct request for
+  // exactly those items — the canonical (RNG-free deterministic) inner
+  // oracles return the same labels whichever subsets they arrive in.
+  size_t kept = 0;
   for (size_t i = 0; i < items.size(); ++i) {
-    resolved[i] = 0;
-    if (fault_rng.NextBernoulli(options_.item_drop_rate)) continue;
-    kept_items.push_back(items[i]);
-    kept_positions.push_back(i);
+    const bool dropped = fault_rng.NextBernoulli(options_.item_drop_rate);
+    resolved[i] = dropped ? 0 : 1;
+    kept += dropped ? 0 : 1;
   }
-  dropped_items_.fetch_add(
-      static_cast<int64_t>(items.size() - kept_items.size()),
-      std::memory_order_relaxed);
-  if (kept_items.empty()) return Status::OK();
-  std::vector<uint8_t> kept_out(kept_items.size());
-  std::vector<uint8_t> kept_resolved(kept_items.size());
+  if (kept == items.size()) {
+    return inner_->TryLabelBatch(items, rng, out, resolved);
+  }
+  dropped_items_.fetch_add(static_cast<int64_t>(items.size() - kept),
+                           std::memory_order_relaxed);
+  if (kept == 0) return Status::OK();
+  std::vector<int64_t> kept_items;
+  kept_items.reserve(kept);
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (resolved[i] != 0) kept_items.push_back(items[i]);
+  }
+  std::vector<uint8_t> kept_out(kept);
+  std::vector<uint8_t> kept_resolved(kept);
   const Status status =
       inner_->TryLabelBatch(kept_items, rng, kept_out, kept_resolved);
-  for (size_t j = 0; j < kept_items.size(); ++j) {
-    if (kept_resolved[j] == 0) continue;
-    out[kept_positions[j]] = kept_out[j];
-    resolved[kept_positions[j]] = 1;
+  for (size_t i = 0, j = 0; i < items.size(); ++i) {
+    if (resolved[i] == 0) continue;
+    if (kept_resolved[j] != 0) out[i] = kept_out[j];
+    resolved[i] = kept_resolved[j] != 0 ? 1 : 0;
+    ++j;
   }
   return status;
 }

@@ -151,44 +151,56 @@ Status LabelCache::QueryBatchFallible(std::span<const int64_t> items, Rng& rng,
     // charged only when its label arrives. First-touch accounting happens at
     // first resolution, so a batch that fails outright changes no counter
     // except total_queries_.
-    pending_positions_.resize(items.size());
+    const auto commit = [this](int64_t item) {
+      uint8_t& slot = cache_[static_cast<size_t>(item)];
+      if (slot == 0) {
+        slot = 3;
+        ++distinct_items_;
+      }
+      ++labels_consumed_;
+      if (OASIS_TELEMETRY_ON) CacheMisses().Increment();
+    };
+    // The first round trip writes straight into the caller's buffers; the
+    // pending positions are gathered only if something is left unresolved,
+    // and only they are re-requested.
+    miss_resolved_.resize(items.size());
+    Status status = oracle_->TryLabelBatch(items, rng, out_labels, miss_resolved_);
+    pending_positions_.clear();
     for (size_t i = 0; i < items.size(); ++i) {
       OASIS_DCHECK(items[i] >= 0 && items[i] < oracle_->num_items());
-      pending_positions_[i] = i;
+      if (miss_resolved_[i] != 0) {
+        commit(items[i]);
+      } else {
+        pending_positions_.push_back(i);
+      }
     }
-    while (!pending_positions_.empty()) {
+    size_t newly = items.size() - pending_positions_.size();
+    for (;;) {
+      OASIS_RETURN_NOT_OK(status);
+      if (pending_positions_.empty()) return Status::OK();
+      if (newly == 0) {
+        return Status::Unavailable(
+            "LabelCache::QueryBatch: oracle made no progress on partial batch");
+      }
       miss_items_.clear();
       for (size_t pos : pending_positions_) miss_items_.push_back(items[pos]);
       miss_labels_.assign(miss_items_.size(), 0);
       miss_resolved_.assign(miss_items_.size(), 0);
-      const Status status =
+      status =
           oracle_->TryLabelBatch(miss_items_, rng, miss_labels_, miss_resolved_);
       size_t kept = 0;
-      int64_t newly = 0;
       for (size_t j = 0; j < pending_positions_.size(); ++j) {
         const size_t pos = pending_positions_[j];
         if (miss_resolved_[j] != 0) {
           out_labels[pos] = miss_labels_[j] ? 1 : 0;
-          uint8_t& slot = cache_[static_cast<size_t>(items[pos])];
-          if (slot == 0) {
-            slot = 3;
-            ++distinct_items_;
-          }
-          ++labels_consumed_;
-          if (OASIS_TELEMETRY_ON) CacheMisses().Increment();
-          ++newly;
+          commit(items[pos]);
         } else {
           pending_positions_[kept++] = pos;
         }
       }
+      newly = pending_positions_.size() - kept;
       pending_positions_.resize(kept);
-      OASIS_RETURN_NOT_OK(status);
-      if (newly == 0 && !pending_positions_.empty()) {
-        return Status::Unavailable(
-            "LabelCache::QueryBatch: oracle made no progress on partial batch");
-      }
     }
-    return Status::OK();
   }
 
   // Deterministic + fallible. Same two-pass structure as the reliable path,

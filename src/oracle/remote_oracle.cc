@@ -233,8 +233,7 @@ RemoteOracleStats RemoteOracle::stats() const {
   stats.round_trips = round_trips_.load(std::memory_order_relaxed);
   stats.labels_fetched = labels_fetched_.load(std::memory_order_relaxed);
   stats.store_hits = store_hits_.load(std::memory_order_relaxed);
-  stats.simulated_latency_ns =
-      simulated_latency_ns_.load(std::memory_order_relaxed);
+  stats.simulated_latency_ns = simulated_latency_ns();
   stats.label_cost =
       static_cast<double>(stats.labels_fetched) * options_.cost_per_label;
   return stats;

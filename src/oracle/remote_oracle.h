@@ -179,6 +179,13 @@ class RemoteOracle : public Oracle {
   /// across counters, which only matters mid-flight).
   RemoteOracleStats stats() const;
 
+  /// The simulated clock alone: stats().simulated_latency_ns as one relaxed
+  /// load, for callers that time attempts against it on the hot path (see
+  /// RetryingOracle) and need none of the other counters.
+  int64_t simulated_latency_ns() const {
+    return simulated_latency_ns_.load(std::memory_order_relaxed);
+  }
+
   /// The latency/cost model in force.
   const RemoteOracleOptions& options() const { return options_; }
 

@@ -169,6 +169,10 @@ RetryingOracle::RetryingOracle(const Oracle* inner, const RetryPolicy& policy)
     : inner_(inner),
       policy_(policy),
       clock_(FindRemoteOracle(inner)),
+      per_attempt_timeout_ns_(static_cast<int64_t>(
+          std::llround(policy.per_attempt_timeout_seconds * 1e9))),
+      deadline_ns_(static_cast<int64_t>(
+          std::llround(policy.overall_deadline_seconds * 1e9))),
       breaker_(policy.breaker_failure_threshold, policy.breaker_cooldown_calls) {
   OASIS_CHECK(inner != nullptr);
   OASIS_CHECK(policy.max_attempts >= 1);
@@ -215,10 +219,11 @@ Status RetryingOracle::TryLabelBatch(std::span<const int64_t> items, Rng& rng,
   }
   for (size_t i = 0; i < resolved.size(); ++i) resolved[i] = 0;
   if (items.empty()) return Status::OK();
-  // Breaker events are timestamped on the stack's simulated clock so the
-  // transition log lines up with the latency model's timeline.
+  // Attempts are timed — and breaker events timestamped — on the stack's
+  // simulated clock, so the transition log lines up with the latency model's
+  // timeline.
   const auto now_ns = [this]() -> int64_t {
-    return clock_ != nullptr ? clock_->stats().simulated_latency_ns : 0;
+    return clock_ != nullptr ? clock_->simulated_latency_ns() : 0;
   };
   if (!breaker_.Admit(now_ns())) {
     breaker_fast_fails_.fetch_add(1, std::memory_order_relaxed);
@@ -226,17 +231,9 @@ Status RetryingOracle::TryLabelBatch(std::span<const int64_t> items, Rng& rng,
     return Status::Unavailable("RetryingOracle: circuit breaker open");
   }
 
-  const int64_t per_attempt_timeout_ns = static_cast<int64_t>(
-      std::llround(policy_.per_attempt_timeout_seconds * 1e9));
-  const int64_t deadline_ns = static_cast<int64_t>(
-      std::llround(policy_.overall_deadline_seconds * 1e9));
   int64_t spent_ns = 0;
   Status last_failure = Status::OK();
-  // Positions of `items` still unresolved; scratch for subset re-requests.
-  std::vector<size_t> pending;
-  std::vector<int64_t> sub_items;
-  std::vector<uint8_t> sub_out;
-  std::vector<uint8_t> sub_resolved;
+  size_t unresolved = items.size();
 
   for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
     attempts_.fetch_add(1, std::memory_order_relaxed);
@@ -245,57 +242,57 @@ Status RetryingOracle::TryLabelBatch(std::span<const int64_t> items, Rng& rng,
       Metrics().attempts.Increment();
       if (attempt > 1) Metrics().retries.Increment();
     }
-    const int64_t clock_before =
-        clock_ != nullptr ? clock_->stats().simulated_latency_ns : 0;
-    Status status;
+    // While every item is still pending — the first attempt, any retry of a
+    // one-item batch or after a whole-batch failure — (re)request straight
+    // into the caller's buffers; after partial progress, re-request ONLY the
+    // still-missing items.
+    const bool whole_batch = unresolved == items.size();
+    std::vector<size_t> pending;
+    std::vector<int64_t> sub_items;
+    std::vector<uint8_t> sub_out;
+    std::vector<uint8_t> sub_resolved;
+    if (!whole_batch) {
+      pending.reserve(unresolved);
+      sub_items.reserve(unresolved);
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (resolved[i] != 0) continue;
+        pending.push_back(i);
+        sub_items.push_back(items[i]);
+      }
+      sub_out.assign(unresolved, 0);
+      sub_resolved.assign(unresolved, 0);
+    }
+    const int64_t clock_before = now_ns();
+    Status status =
+        whole_batch
+            ? inner_->TryLabelBatch(items, rng, out, resolved)
+            : inner_->TryLabelBatch(sub_items, rng, sub_out, sub_resolved);
+    const int64_t attempt_ns = now_ns() - clock_before;
+    spent_ns += attempt_ns;
     int64_t newly_resolved = 0;
-    if (attempt == 1) {
-      // First attempt writes straight into the caller's buffers.
-      status = inner_->TryLabelBatch(items, rng, out, resolved);
-      const int64_t attempt_ns =
-          clock_ != nullptr ? clock_->stats().simulated_latency_ns - clock_before
-                            : 0;
-      spent_ns += attempt_ns;
-      if (per_attempt_timeout_ns > 0 && attempt_ns > per_attempt_timeout_ns) {
-        // The response arrived after the caller stopped waiting: discard its
-        // labels (the wire time stays charged) and retry.
-        for (size_t i = 0; i < resolved.size(); ++i) resolved[i] = 0;
-        status = Status::DeadlineExceeded("RetryingOracle: per-attempt timeout");
-      } else {
-        for (size_t i = 0; i < resolved.size(); ++i) {
-          newly_resolved += resolved[i] != 0 ? 1 : 0;
-        }
+    if (per_attempt_timeout_ns_ > 0 && attempt_ns > per_attempt_timeout_ns_) {
+      // The response arrived after the caller stopped waiting: discard its
+      // labels (the wire time stays charged) and retry.
+      if (whole_batch) std::fill(resolved.begin(), resolved.end(), 0);
+      status = Status::DeadlineExceeded("RetryingOracle: per-attempt timeout");
+    } else if (whole_batch) {
+      for (size_t i = 0; i < resolved.size(); ++i) {
+        newly_resolved += resolved[i] != 0 ? 1 : 0;
       }
     } else {
-      // Retry: re-request ONLY the still-missing items.
-      sub_items.clear();
-      sub_items.reserve(pending.size());
-      for (size_t p : pending) sub_items.push_back(items[p]);
-      sub_out.assign(pending.size(), 0);
-      sub_resolved.assign(pending.size(), 0);
-      status = inner_->TryLabelBatch(sub_items, rng, sub_out, sub_resolved);
-      const int64_t attempt_ns =
-          clock_ != nullptr ? clock_->stats().simulated_latency_ns - clock_before
-                            : 0;
-      spent_ns += attempt_ns;
-      if (per_attempt_timeout_ns > 0 && attempt_ns > per_attempt_timeout_ns) {
-        status = Status::DeadlineExceeded("RetryingOracle: per-attempt timeout");
-      } else {
-        for (size_t j = 0; j < pending.size(); ++j) {
-          if (sub_resolved[j] == 0) continue;
-          out[pending[j]] = sub_out[j];
-          resolved[pending[j]] = 1;
-          ++newly_resolved;
-        }
-        items_recovered_.fetch_add(newly_resolved, std::memory_order_relaxed);
+      for (size_t j = 0; j < pending.size(); ++j) {
+        if (sub_resolved[j] == 0) continue;
+        out[pending[j]] = sub_out[j];
+        resolved[pending[j]] = 1;
+        ++newly_resolved;
       }
     }
-
-    pending.clear();
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (resolved[i] == 0) pending.push_back(i);
+    if (attempt > 1) {
+      items_recovered_.fetch_add(newly_resolved, std::memory_order_relaxed);
     }
-    if (status.ok() && pending.empty()) {
+    unresolved -= static_cast<size_t>(newly_resolved);
+
+    if (status.ok() && unresolved == 0) {
       breaker_.RecordSuccess(now_ns());
       return Status::OK();
     }
@@ -313,13 +310,13 @@ Status RetryingOracle::TryLabelBatch(std::span<const int64_t> items, Rng& rng,
     if (attempt == policy_.max_attempts) break;
 
     const int64_t wait_ns = BackoffNs(attempt);
-    if (deadline_ns > 0 && spent_ns + wait_ns > deadline_ns) {
+    if (deadline_ns_ > 0 && spent_ns + wait_ns > deadline_ns_) {
       give_ups_.fetch_add(1, std::memory_order_relaxed);
       if (OASIS_TELEMETRY_ON) Metrics().give_ups.Increment();
       return Status::DeadlineExceeded(
           "RetryingOracle: overall deadline exceeded after " +
           std::to_string(attempt) + " attempts (" +
-          std::to_string(pending.size()) + " items unresolved)");
+          std::to_string(unresolved) + " items unresolved)");
     }
     if (clock_ != nullptr) clock_->ChargeAuxiliaryLatencyNs(wait_ns);
     backoff_ns_.fetch_add(wait_ns, std::memory_order_relaxed);

@@ -227,6 +227,11 @@ class RetryingOracle : public Oracle {
   /// attempt latencies are measured against — and backoff charged into —
   /// its simulated clock.
   const RemoteOracle* clock_;
+  /// The policy's per-attempt timeout and overall deadline in simulated
+  /// nanoseconds (0 = disabled), rounded once at construction: the policy
+  /// is immutable.
+  const int64_t per_attempt_timeout_ns_;
+  const int64_t deadline_ns_;
   mutable CircuitBreaker breaker_;
   mutable std::atomic<int64_t> attempts_{0};
   mutable std::atomic<int64_t> retries_{0};

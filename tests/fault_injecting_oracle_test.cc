@@ -105,6 +105,64 @@ TEST(FaultInjectingOracleTest, ScheduleIsDeterministicAndCallerRngFree) {
   EXPECT_GT(stats.dropped_items, 0);
 }
 
+// Pins the documented draw order: attempt a's outcome is recomputed here,
+// independently, from Rng::Fork(seed, a) — the transient draw, then the
+// timeout draw, then one Bernoulli per item in item order — and must match
+// what the decorator reports, call for call, for one-item (the served OASIS
+// step) and 8-item batches alike.
+TEST(FaultInjectingOracleTest, ScheduleMatchesIndependentRecomputation) {
+  const std::vector<uint8_t> truth = MakeTruth(500, 23);
+  GroundTruthOracle inner(truth);
+  FaultInjectionOptions options;
+  options.transient_failure_rate = 0.1;
+  options.timeout_rate = 0.1;
+  options.item_drop_rate = 0.2;
+  options.seed = ChaosSeed();
+  FaultInjectingOracle oracle(&inner, options);
+
+  constexpr int kCallsPerSize = 10000;
+  Rng rng(5);
+  uint64_t attempt = 0;
+  int64_t expected_dropped = 0;
+  for (const size_t batch_size : {size_t{1}, size_t{8}}) {
+    for (int call = 0; call < kCallsPerSize; ++call, ++attempt) {
+      std::vector<int64_t> items(batch_size);
+      for (size_t i = 0; i < batch_size; ++i) {
+        items[i] = static_cast<int64_t>((attempt * 31 + i * 7) % truth.size());
+      }
+      std::vector<uint8_t> out(batch_size, 0xcc);
+      std::vector<uint8_t> resolved(batch_size, 0xee);
+      const Status status = oracle.TryLabelBatch(items, rng, out, resolved);
+
+      Rng fault_rng = Rng::Fork(options.seed, attempt);
+      StatusCode expected_code = StatusCode::kOk;
+      std::vector<uint8_t> expected_resolved(batch_size, 0);
+      if (fault_rng.NextDouble() < options.transient_failure_rate) {
+        expected_code = StatusCode::kUnavailable;
+      } else if (fault_rng.NextDouble() < options.timeout_rate) {
+        expected_code = StatusCode::kDeadlineExceeded;
+      } else {
+        for (size_t i = 0; i < batch_size; ++i) {
+          const bool dropped = fault_rng.NextBernoulli(options.item_drop_rate);
+          expected_resolved[i] = dropped ? 0 : 1;
+          expected_dropped += dropped ? 1 : 0;
+        }
+      }
+      ASSERT_EQ(status.code(), expected_code) << "attempt " << attempt;
+      ASSERT_EQ(resolved, expected_resolved) << "attempt " << attempt;
+      ASSERT_EQ(oracle.stats().dropped_items, expected_dropped)
+          << "attempt " << attempt;
+      for (size_t i = 0; i < batch_size; ++i) {
+        if (resolved[i] != 0) {
+          EXPECT_EQ(out[i], truth[static_cast<size_t>(items[i])]);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(oracle.stats().attempts, static_cast<int64_t>(attempt));
+  EXPECT_GT(expected_dropped, 0);
+}
+
 TEST(FaultInjectingOracleTest, FailureKindsMapToDocumentedStatuses) {
   const std::vector<uint8_t> truth = MakeTruth(32, 31);
   GroundTruthOracle inner(truth);

@@ -12,40 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "core/oasis.h"
 #include "oracle/ground_truth_oracle.h"
 #include "strata/csf.h"
+#include "tests/alloc_counter.h"
 #include "tests/test_util.h"
-
-namespace {
-// Global operator new/delete hooks counting heap allocations, toggled around
-// the measured region only (same scheme as step_batch_test.cc).
-std::atomic<bool> g_count_allocations{false};
-std::atomic<int64_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* ptr = std::malloc(size);
-  if (ptr == nullptr) throw std::bad_alloc();
-  return ptr;
-}
-
-void* operator new[](std::size_t size) { return operator new(size); }
-
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace oasis {
 namespace {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "oracle/ground_truth_oracle.h"
 #include "oracle/noisy_oracle.h"
+#include "oracle/oracle_stack.h"
+#include "tests/alloc_counter.h"
 
 namespace oasis {
 namespace {
@@ -66,6 +71,48 @@ TEST(LabelCacheTest, NoisyQueriesAreFreshDraws) {
   // A caching bug would produce 0 or n; fresh draws give ~n/2.
   EXPECT_GT(ones, n / 3);
   EXPECT_LT(ones, 2 * n / 3);
+}
+
+// The served OASIS path: one-item fallible queries on a noisy oracle under
+// fault + remote + retry. With faults armed (non-zero rates, so every layer
+// takes its fallible code path) but none firing, every layer passes the
+// caller's buffers straight down and a query allocates nothing.
+TEST(LabelCacheTest, FallibleStackQueryPerformsZeroHeapAllocations) {
+  NoisyOracle noisy =
+      NoisyOracle::FromProbabilities(std::vector<double>(64, 0.3)).ValueOrDie();
+  FaultInjectionOptions faults;
+  faults.transient_failure_rate = 1e-12;
+  faults.timeout_rate = 1e-12;
+  faults.item_drop_rate = 1e-12;
+  RetryPolicy policy;
+  policy.max_attempts = 8;
+  const OracleStack stack = OracleStackBuilder()
+                                .FaultInjection(faults)
+                                .Remote(RemoteOracleOptions{})
+                                .Retry(policy)
+                                .Build(&noisy)
+                                .ValueOrDie();
+  LabelCache cache(&stack.top());
+  Rng rng(7);
+  ASSERT_TRUE(cache.TryQuery(0, rng).ok());  // Warm-up sizes the scratch.
+
+  constexpr int64_t kQueries = 1000;
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  bool all_ok = true;
+  for (int64_t i = 0; i < kQueries; ++i) {
+    all_ok = cache.TryQuery(i % noisy.num_items(), rng).ok() && all_ok;
+  }
+  g_count_allocations.store(false);
+  ASSERT_TRUE(all_ok);
+  EXPECT_EQ(g_allocation_count.load(), 0);
+
+  // Every label was delivered on its first attempt, through all three layers.
+  EXPECT_EQ(cache.labels_consumed(), kQueries + 1);
+  EXPECT_EQ(stack.fault_injecting()->stats().attempts, kQueries + 1);
+  EXPECT_EQ(stack.fault_injecting()->stats().dropped_items, 0);
+  EXPECT_EQ(stack.remote()->stats().labels_fetched, kQueries + 1);
+  EXPECT_EQ(stack.retrying()->stats().retries, 0);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 //    produces BIT-IDENTICAL error curves to a fault-free run at any thread
 //    count, while a permanent outage surfaces kUnavailable/kDeadlineExceeded
 //    from RunErrorCurve instead of crashing;
+//  * the same guarantee in the served regime — fused OASIS, K=30, one-item
+//    label requests on a noisy oracle under fault + remote + retry;
 //  * WriteCurvesCsv carries the retries/give_ups and ess columns.
 //
 // Chaos assertions are OASIS_CHAOS_SEED-independent: they compare against a
@@ -22,11 +24,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "datagen/scenario.h"
 #include "experiments/csv.h"
 #include "experiments/runner.h"
 #include "oracle/fault_injecting_oracle.h"
@@ -531,6 +535,66 @@ TEST(RetryRunnerTest, TransientChaosCurvesBitIdenticalToFaultFree) {
     ASSERT_EQ(chaos.mean_retries.size(), chaos.budgets.size());
     EXPECT_GT(chaos.mean_retries.back(), 0.0);
     EXPECT_EQ(chaos.mean_give_ups.back(), 0.0);
+  }
+}
+
+// The served regime (the serve-noisy-stack benchmark workload): fused OASIS
+// at K=30 on the noisy-flip05 scenario, so every label is its own one-item
+// fallible request through fault + remote + retry. Every fault is recovered
+// before the noisy oracle draws from the caller's RNG, so the curve must
+// match the bare noisy oracle's bit for bit, at any thread count.
+TEST(RetryRunnerTest, ServeRegimeNoisyOasisCurvesBitIdenticalToBareOracle) {
+  const datagen::ScenarioPool pool =
+      datagen::GenerateScenario(
+          datagen::ScenarioByName("noisy-flip05").ValueOrDie())
+          .ValueOrDie();
+  const std::unique_ptr<Oracle> oracle =
+      datagen::MakeScenarioOracle(pool).ValueOrDie();
+  ASSERT_FALSE(oracle->deterministic());
+  OasisOptions oasis_options;
+  oasis_options.alpha = pool.spec.alpha;
+  oasis_options.step_path = OasisStepPath::kFused;
+  const exp::MethodSpec spec = exp::MakeOasisSpec(
+      oasis_options, std::make_shared<const Strata>(
+                         StratifyCsf(pool.scored.scores, 30, false).ValueOrDie()));
+  exp::RunnerOptions options;
+  options.repeats = 4;
+  options.trajectory.budget = 1000;
+  options.trajectory.checkpoint_every = 250;
+  options.base_seed = 2024;
+
+  const exp::ErrorCurve baseline =
+      exp::RunErrorCurve(spec, pool.scored, *oracle, pool.true_f, options)
+          .ValueOrDie();
+
+  FaultInjectionOptions faults;
+  faults.transient_failure_rate = 0.05;
+  faults.timeout_rate = 0.01;
+  faults.item_drop_rate = 0.02;
+  faults.seed = ChaosSeed();
+  RetryPolicy policy;
+  policy.max_attempts = 8;
+  for (const int threads : {1, 2}) {
+    exp::RunnerOptions served = options;
+    served.num_threads = threads;
+    served.stack.fault_injection = faults;
+    served.stack.remote = RemoteOracleOptions{};
+    served.stack.retry = policy;
+    const exp::ErrorCurve chaos =
+        exp::RunErrorCurve(spec, pool.scored, *oracle, pool.true_f, served)
+            .ValueOrDie();
+
+    ASSERT_EQ(chaos.budgets, baseline.budgets) << "threads=" << threads;
+    for (size_t i = 0; i < baseline.budgets.size(); ++i) {
+      EXPECT_EQ(chaos.mean_abs_error[i], baseline.mean_abs_error[i])
+          << "threads=" << threads << " checkpoint " << i;
+      EXPECT_EQ(chaos.stddev[i], baseline.stddev[i]);
+      EXPECT_EQ(chaos.mean_estimate[i], baseline.mean_estimate[i]);
+      EXPECT_EQ(chaos.frac_defined[i], baseline.frac_defined[i]);
+    }
+    ASSERT_TRUE(chaos.has_fault_stats);
+    EXPECT_GT(chaos.mean_retries.back(), 0.0) << "threads=" << threads;
+    EXPECT_EQ(chaos.mean_give_ups.back(), 0.0) << "threads=" << threads;
   }
 }
 
