@@ -1,8 +1,8 @@
 // google-benchmark micro-benches for the sampling hot paths: alias-table vs
 // linear-scan discrete draws (the Table 3 cost asymmetry at its core), the
 // per-iteration cost of each sampler as a function of K and N, the fused
-// zero-allocation OASIS step against the Fenwick and alias step paths, and
-// CSF stratification construction cost.
+// zero-allocation OASIS step against the Fenwick and alias step paths, the
+// per-repeat label-cache cost, and CSF stratification construction cost.
 //
 // Besides the console output, every run writes a machine-readable
 // BENCH_micro.json (path override: OASIS_BENCH_JSON) with steps/sec per
@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -614,6 +615,37 @@ void BM_FallibleOasisStep(benchmark::State& state) {
   state.SetLabel(stacked ? "noisy, fault+remote+retry" : "noisy, bare");
 }
 BENCHMARK(BM_FallibleOasisStep)->Arg(0)->Arg(1);
+
+/// The label-cache cost one experiment repeat pays at pool scale: build a
+/// LabelCache over a GroundTruthOracle of range(0) items (zeroing its
+/// bitmaps), then make uniform random Query calls until 5000 labels are
+/// charged, the batch workloads' budget. Items/sec counts charged labels;
+/// `queries_per_repeat` also counts the free replays.
+void BM_LabelCacheRepeat(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  constexpr int64_t kBudget = 5000;
+  Rng truth_rng(5);
+  std::vector<uint8_t> truth(static_cast<size_t>(n));
+  for (uint8_t& t : truth) t = truth_rng.NextBernoulli(0.1) ? 1 : 0;
+  const GroundTruthOracle oracle(std::move(truth));
+  Rng rng(6);
+  int64_t queries = 0;
+  for (auto _ : state) {
+    LabelCache cache(&oracle);
+    while (cache.labels_consumed() < kBudget) {
+      const auto item = static_cast<int64_t>(
+          rng.NextBounded(static_cast<uint64_t>(n)));
+      benchmark::DoNotOptimize(cache.Query(item, rng));
+    }
+    queries += cache.total_queries();
+  }
+  state.SetItemsProcessed(state.iterations() * kBudget);
+  if (state.iterations() > 0) {
+    state.counters["queries_per_repeat"] =
+        static_cast<double>(queries) / static_cast<double>(state.iterations());
+  }
+}
+BENCHMARK(BM_LabelCacheRepeat)->Arg(20000)->Arg(400000);
 
 /// Telemetry cost on the hottest loop in the repo: the fused OASIS step at
 /// K=1000, with the registry runtime switch range(0) = 0: off (the production

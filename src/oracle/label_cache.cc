@@ -31,26 +31,50 @@ telemetry::Counter& PendingRollbacks() {
   return counter;
 }
 
+size_t Word(int64_t item) { return static_cast<size_t>(item) >> 6; }
+uint64_t Bit(int64_t item) { return uint64_t{1} << (item & 63); }
+
+bool TestBit(const std::vector<uint64_t>& bits, int64_t item) {
+  return (bits[Word(item)] & Bit(item)) != 0;
+}
+
+/// Sets `item`'s bit; true when it was clear (a first touch).
+bool SetBit(std::vector<uint64_t>& bits, int64_t item) {
+  uint64_t& word = bits[Word(item)];
+  const bool was_clear = (word & Bit(item)) == 0;
+  word |= Bit(item);
+  return was_clear;
+}
+
+/// ORs `label` into `item`'s (clear) bit without branching on it: a branch
+/// on the label mispredicts at the positive rate and flushes the queries in
+/// flight behind it.
+void StoreLabel(std::vector<uint64_t>& bits, int64_t item, bool label) {
+  bits[Word(item)] |= static_cast<uint64_t>(label) << (item & 63);
+}
+
 }  // namespace
 
 LabelCache::LabelCache(const Oracle* oracle) : oracle_(oracle) {
   OASIS_CHECK(oracle != nullptr);
   deterministic_ = oracle->deterministic();
   fallible_ = oracle->fallible();
-  cache_.assign(static_cast<size_t>(oracle->num_items()), 0);
+  const size_t words = static_cast<size_t>(oracle->num_items() + 63) / 64;
+  seen_.assign(words, 0);
+  if (deterministic_) label_.assign(words, 0);
 }
 
 bool LabelCache::Query(int64_t item, Rng& rng) {
   OASIS_DCHECK(item >= 0 && item < oracle_->num_items());
   ++total_queries_;
-  uint8_t& slot = cache_[static_cast<size_t>(item)];
   if (deterministic_) {
-    if (slot != 0) {
+    if (TestBit(seen_, item)) {
       if (OASIS_TELEMETRY_ON) CacheHits().Increment();
-      return slot == 2;  // Free replay of the cached label.
+      return TestBit(label_, item);  // Free replay of the cached label.
     }
     const bool label = oracle_->Label(item, rng);
-    slot = label ? 2 : 1;
+    SetBit(seen_, item);
+    StoreLabel(label_, item, label);
     ++labels_consumed_;
     ++distinct_items_;
     if (OASIS_TELEMETRY_ON) CacheMisses().Increment();
@@ -58,10 +82,7 @@ bool LabelCache::Query(int64_t item, Rng& rng) {
   }
   // Noisy oracle: every draw costs budget; remember first touch for
   // distinct-item accounting.
-  if (slot == 0) {
-    slot = 3;
-    ++distinct_items_;
-  }
+  if (SetBit(seen_, item)) ++distinct_items_;
   ++labels_consumed_;
   if (OASIS_TELEMETRY_ON) CacheMisses().Increment();
   return oracle_->Label(item, rng);
@@ -95,11 +116,7 @@ Status LabelCache::QueryBatch(std::span<const int64_t> items, Rng& rng,
     // touches the RNG).
     for (int64_t item : items) {
       OASIS_DCHECK(item >= 0 && item < oracle_->num_items());
-      uint8_t& slot = cache_[static_cast<size_t>(item)];
-      if (slot == 0) {
-        slot = 3;
-        ++distinct_items_;
-      }
+      if (SetBit(seen_, item)) ++distinct_items_;
     }
     labels_consumed_ += static_cast<int64_t>(items.size());
     if (OASIS_TELEMETRY_ON) CacheMisses().Add(static_cast<int64_t>(items.size()));
@@ -109,16 +126,13 @@ Status LabelCache::QueryBatch(std::span<const int64_t> items, Rng& rng,
 
   // Deterministic oracle. Pass 1: collect the batch's cache misses in
   // first-occurrence order (duplicates after the first occurrence behave as
-  // free replays, exactly as in the sequential loop), marking them pending so
-  // a duplicate is not queried twice.
+  // free replays, exactly as in the sequential loop), setting their seen bit
+  // as the pending marker so a duplicate is not queried twice.
   miss_items_.clear();
   for (int64_t item : items) {
     OASIS_DCHECK(item >= 0 && item < oracle_->num_items());
-    uint8_t& slot = cache_[static_cast<size_t>(item)];
-    if (slot == 0) {
-      slot = 4;  // Pending: resolved by the single round-trip below.
-      miss_items_.push_back(item);
-    }
+    // Pending: resolved by the single round-trip below.
+    if (SetBit(seen_, item)) miss_items_.push_back(item);
   }
   // One oracle round-trip for every miss (deterministic oracles ignore the
   // RNG, so batching does not perturb the seeded stream).
@@ -126,7 +140,7 @@ Status LabelCache::QueryBatch(std::span<const int64_t> items, Rng& rng,
     miss_labels_.resize(miss_items_.size());
     oracle_->LabelBatch(miss_items_, rng, miss_labels_);
     for (size_t i = 0; i < miss_items_.size(); ++i) {
-      cache_[static_cast<size_t>(miss_items_[i])] = miss_labels_[i] ? 2 : 1;
+      StoreLabel(label_, miss_items_[i], miss_labels_[i] != 0);
     }
     labels_consumed_ += static_cast<int64_t>(miss_items_.size());
     distinct_items_ += static_cast<int64_t>(miss_items_.size());
@@ -137,7 +151,7 @@ Status LabelCache::QueryBatch(std::span<const int64_t> items, Rng& rng,
   }
   // Pass 2: answer everything from the (now fully populated) cache.
   for (size_t i = 0; i < items.size(); ++i) {
-    out_labels[i] = cache_[static_cast<size_t>(items[i])] == 2 ? 1 : 0;
+    out_labels[i] = TestBit(label_, items[i]) ? 1 : 0;
   }
   return Status::OK();
 }
@@ -152,11 +166,7 @@ Status LabelCache::QueryBatchFallible(std::span<const int64_t> items, Rng& rng,
     // first resolution, so a batch that fails outright changes no counter
     // except total_queries_.
     const auto commit = [this](int64_t item) {
-      uint8_t& slot = cache_[static_cast<size_t>(item)];
-      if (slot == 0) {
-        slot = 3;
-        ++distinct_items_;
-      }
+      if (SetBit(seen_, item)) ++distinct_items_;
       ++labels_consumed_;
       if (OASIS_TELEMETRY_ON) CacheMisses().Increment();
     };
@@ -209,11 +219,8 @@ Status LabelCache::QueryBatchFallible(std::span<const int64_t> items, Rng& rng,
   miss_items_.clear();
   for (int64_t item : items) {
     OASIS_DCHECK(item >= 0 && item < oracle_->num_items());
-    uint8_t& slot = cache_[static_cast<size_t>(item)];
-    if (slot == 0) {
-      slot = 4;  // Pending: resolved (or rolled back) below.
-      miss_items_.push_back(item);
-    }
+    // Pending: resolved (or rolled back) below.
+    if (SetBit(seen_, item)) miss_items_.push_back(item);
   }
   if (OASIS_TELEMETRY_ON) {
     CacheHits().Add(static_cast<int64_t>(items.size() - miss_items_.size()));
@@ -227,7 +234,7 @@ Status LabelCache::QueryBatchFallible(std::span<const int64_t> items, Rng& rng,
     int64_t newly = 0;
     for (size_t i = 0; i < miss_items_.size(); ++i) {
       if (miss_resolved_[i] != 0) {
-        cache_[static_cast<size_t>(miss_items_[i])] = miss_labels_[i] ? 2 : 1;
+        StoreLabel(label_, miss_items_[i], miss_labels_[i] != 0);
         ++newly;
       } else {
         miss_items_[kept++] = miss_items_[i];
@@ -238,13 +245,14 @@ Status LabelCache::QueryBatchFallible(std::span<const int64_t> items, Rng& rng,
     distinct_items_ += newly;
     if (OASIS_TELEMETRY_ON) CacheMisses().Add(newly);
     if (!status.ok() || (newly == 0 && !miss_items_.empty())) {
-      // Roll the pending markers back to "never queried" so a later call
-      // re-attempts (and only then charges) them. Labels that DID resolve
-      // stay cached and charged — they were delivered and paid for.
+      // Roll the pending seen bits back to "never queried" so a later call
+      // re-attempts (and only then charges) them; their label bits were never
+      // set. Labels that DID resolve stay cached and charged — they were
+      // delivered and paid for.
       if (OASIS_TELEMETRY_ON) {
         PendingRollbacks().Add(static_cast<int64_t>(miss_items_.size()));
       }
-      for (int64_t item : miss_items_) cache_[static_cast<size_t>(item)] = 0;
+      for (int64_t item : miss_items_) seen_[Word(item)] &= ~Bit(item);
       if (!status.ok()) return status;
       return Status::Unavailable(
           "LabelCache::QueryBatch: oracle made no progress on partial batch");
@@ -252,14 +260,14 @@ Status LabelCache::QueryBatchFallible(std::span<const int64_t> items, Rng& rng,
   }
   // Everything resolved: answer the whole batch from the cache.
   for (size_t i = 0; i < items.size(); ++i) {
-    out_labels[i] = cache_[static_cast<size_t>(items[i])] == 2 ? 1 : 0;
+    out_labels[i] = TestBit(label_, items[i]) ? 1 : 0;
   }
   return Status::OK();
 }
 
 bool LabelCache::IsLabelled(int64_t item) const {
   OASIS_DCHECK(item >= 0 && item < oracle_->num_items());
-  return cache_[static_cast<size_t>(item)] != 0;
+  return TestBit(seen_, item);
 }
 
 }  // namespace oasis

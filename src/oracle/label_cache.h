@@ -70,8 +70,9 @@ class LabelCache {
   /// Number of distinct items labelled at least once.
   int64_t distinct_items_labelled() const { return distinct_items_; }
 
-  /// True when `item` has been queried before (deterministic mode only
-  /// returns meaningful values; noisy mode also tracks first-touch).
+  /// True when a label for `item` has been delivered before: a cached label
+  /// for a deterministic oracle, a first touch for a noisy one. A failed
+  /// fallible batch leaves its unresolved items unlabelled.
   bool IsLabelled(int64_t item) const;
 
   /// The wrapped oracle (e.g. to check deterministic() or num_items()).
@@ -88,10 +89,13 @@ class LabelCache {
   // the per-query hot path makes no virtual calls to re-ask them.
   bool deterministic_ = false;
   bool fallible_ = false;
-  // 0 = never queried, 1 = cached label 0, 2 = cached label 1, 3 = noisy
-  // first-touch marker, 4 = transient QueryBatch miss-pending marker (never
-  // persists past a QueryBatch call).
-  std::vector<uint8_t> cache_;
+  // Two bits per pool item, packed 64 to a word. A set `seen_` bit means the
+  // item was labelled before, or (deterministic mode, inside a QueryBatch
+  // call only) that its miss is pending; a failed batch clears it again.
+  // `label_` holds the cached label and is allocated for deterministic
+  // oracles only; a noisy oracle tracks first touch in `seen_` alone.
+  std::vector<uint64_t> seen_;
+  std::vector<uint64_t> label_;
   // Scratch for QueryBatch (first-occurrence cache misses and their labels),
   // reused across calls so steady-state batches do not allocate.
   std::vector<int64_t> miss_items_;
