@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/number_format.h"
+
 namespace oasis {
 namespace bench {
 
@@ -82,8 +84,8 @@ class JsonBenchWriter {
   /// sweep) before serialising.
   std::vector<JsonBenchResult>& mutable_results() { return results_; }
 
-  /// Serialises all collected results. Numbers use printf %.17g so reading
-  /// them back is lossless.
+  /// Serialises all collected results. Numbers use %.17g (AppendDouble) so
+  /// reading them back is lossless.
   std::string ToJson() const {
     std::string out;
     out += "{\n  \"benchmark\": \"" + Escape(benchmark_name_) + "\",\n";
@@ -93,10 +95,12 @@ class JsonBenchWriter {
       const JsonBenchResult& r = results_[i];
       out += i == 0 ? "\n" : ",\n";
       out += "    {\"name\": \"" + Escape(r.name) + "\"";
-      out += ", \"steps_per_sec\": " + Number(r.steps_per_sec);
+      out += ", \"steps_per_sec\": ";
+      AppendDouble(r.steps_per_sec, &out);
       out += ", \"iterations\": " + std::to_string(r.iterations);
       for (const auto& [key, value] : r.metrics) {
-        out += ", \"" + Escape(key) + "\": " + Number(value);
+        out += ", \"" + Escape(key) + "\": ";
+        AppendDouble(value, &out);
       }
       out += "}";
     }
@@ -135,12 +139,6 @@ class JsonBenchWriter {
       }
     }
     return out;
-  }
-
-  static std::string Number(double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
   }
 
   std::string benchmark_name_;

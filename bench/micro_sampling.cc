@@ -755,6 +755,57 @@ void BM_SessionServer(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionServer)->Arg(64)->Arg(1000);
 
+/// Protocol v1 codec cost per exchange, with no session work: one iteration
+/// encodes a request, decodes it (the server's side), encodes the reply and
+/// decodes that (the client's side). range(0) = 0: RequestLabels +
+/// LabelArrived, the exchange an OASIS session repeats once per slice;
+/// 1: StartSession carrying serve-noisy-stack's fault+remote+retry stack +
+/// SessionStarted. Items/sec counts round trips; `wire_bytes` is the request
+/// plus reply size.
+void BM_ProtocolRoundTrip(benchmark::State& state) {
+  service::Request request;
+  service::Response response;
+  if (state.range(0) == 0) {
+    request = service::RequestLabels{12, 100, true};
+    service::LabelArrived arrived;
+    arrived.report = {12,   1300, 1412, 0.83333333333333337, true,
+                      0.78, true, 0.89285714285714279,       true,
+                      false, false};
+    arrived.labels_charged = 100;
+    response = arrived;
+  } else {
+    service::StartSession start;
+    start.spec.scenario = "noisy-flip05";
+    start.spec.stream = 417;
+    FaultInjectionOptions fault;
+    fault.transient_failure_rate = 0.05;
+    fault.timeout_rate = 0.01;
+    fault.item_drop_rate = 0.02;
+    start.spec.stack.fault_injection = fault;
+    start.spec.stack.remote = RemoteOracleOptions{};
+    RetryPolicy retry;
+    retry.max_attempts = 8;
+    start.spec.stack.retry = retry;
+    request = start;
+    response = service::SessionStarted{417};
+  }
+  size_t wire_bytes = 0;
+  for (auto _ : state) {
+    const std::string request_bytes = service::SerializeRequest(request);
+    Result<service::Request> decoded = service::ParseRequest(request_bytes);
+    benchmark::DoNotOptimize(decoded);
+    const std::string response_bytes = service::SerializeResponse(response);
+    Result<service::Response> reply = service::ParseResponse(response_bytes);
+    benchmark::DoNotOptimize(reply);
+    wire_bytes = request_bytes.size() + response_bytes.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["wire_bytes"] = static_cast<double>(wire_bytes);
+  state.SetLabel(state.range(0) == 0 ? "request_labels+label_arrived"
+                                     : "start_session(stack)+session_started");
+}
+BENCHMARK(BM_ProtocolRoundTrip)->Arg(0)->Arg(1);
+
 /// Console reporter that additionally captures every finished run into the
 /// bench_util JSON writer, keyed by benchmark name with items/sec as the
 /// primary throughput number.

@@ -1,8 +1,6 @@
 #include "datagen/scenario.h"
 
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "eval/measures.h"
 #include "oracle/ground_truth_oracle.h"
@@ -16,12 +14,6 @@ namespace {
 // Category layout order within the generated pool. Blocks are contiguous
 // (strata are score-driven, so item order carries no information).
 enum Category { kTn = 0, kFn = 1, kFp = 2, kTp = 3 };
-
-std::string FormatDoubleKey(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 int64_t RoundCount(double value) {
   return static_cast<int64_t>(std::llround(value));
@@ -223,26 +215,29 @@ Status ScenarioSpec::Validate() const {
 }
 
 std::string ScenarioSpec::ToConfigString() const {
-  std::ostringstream out;
-  out << "name = " << name << '\n';
-  out << "family = " << ScenarioFamilyName(family) << '\n';
-  out << "pool_size = " << pool_size << '\n';
-  out << "seed = " << seed << '\n';
-  out << "alpha = " << FormatDoubleKey(alpha) << '\n';
-  out << "true_positives = " << true_positives << '\n';
-  out << "false_positives = " << false_positives << '\n';
-  out << "false_negatives = " << false_negatives << '\n';
-  out << "match_rate = " << FormatDoubleKey(match_rate) << '\n';
-  out << "classifier_recall = " << FormatDoubleKey(classifier_recall) << '\n';
-  out << "classifier_precision = " << FormatDoubleKey(classifier_precision)
-      << '\n';
-  out << "skew_exponent = " << FormatDoubleKey(skew_exponent) << '\n';
-  out << "clusters_per_band = " << clusters_per_band << '\n';
-  out << "flip_rate = " << FormatDoubleKey(flip_rate) << '\n';
-  out << "expect_sis_degeneracy = " << (expect_sis_degeneracy ? "true" : "false")
-      << '\n';
-  out << "verify_tolerance = " << FormatDoubleKey(verify_tolerance) << '\n';
-  return out.str();
+  using experiments::AppendConfigBool;
+  using experiments::AppendConfigDouble;
+  using experiments::AppendConfigInt64;
+  using experiments::AppendConfigLine;
+  std::string out;
+  AppendConfigLine("name", name, &out);
+  AppendConfigLine("family", ScenarioFamilyName(family), &out);
+  AppendConfigInt64("pool_size", pool_size, &out);
+  // Unsigned: a seed above INT64_MAX prints as its own digits.
+  AppendConfigLine("seed", std::to_string(seed), &out);
+  AppendConfigDouble("alpha", alpha, &out);
+  AppendConfigInt64("true_positives", true_positives, &out);
+  AppendConfigInt64("false_positives", false_positives, &out);
+  AppendConfigInt64("false_negatives", false_negatives, &out);
+  AppendConfigDouble("match_rate", match_rate, &out);
+  AppendConfigDouble("classifier_recall", classifier_recall, &out);
+  AppendConfigDouble("classifier_precision", classifier_precision, &out);
+  AppendConfigDouble("skew_exponent", skew_exponent, &out);
+  AppendConfigInt64("clusters_per_band", clusters_per_band, &out);
+  AppendConfigDouble("flip_rate", flip_rate, &out);
+  AppendConfigBool("expect_sis_degeneracy", expect_sis_degeneracy, &out);
+  AppendConfigDouble("verify_tolerance", verify_tolerance, &out);
+  return out;
 }
 
 Result<ScenarioSpec> ScenarioSpec::FromConfig(

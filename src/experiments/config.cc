@@ -1,55 +1,184 @@
 #include "experiments/config.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/number_format.h"
+
 namespace oasis {
 namespace experiments {
 
-std::string TrimWhitespace(const std::string& text) {
+namespace {
+
+/// The "C"-locale isspace set, inline (no locale lookup per byte).
+bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Whether `text` equals the lower-case ASCII word `lower`, ignoring case.
+bool EqualsIgnoreCase(std::string_view text, std::string_view lower) {
+  if (text.size() != lower.size()) return false;
+  for (size_t i = 0; i < text.size(); ++i) {
+    char c = text[i];
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    if (c != lower[i]) return false;
+  }
+  return true;
+}
+
+/// Runs the C parser `convert(begin, &end)` over a NUL-terminated copy of
+/// `text` (on the stack unless it is long) and applies the whole-field
+/// checks shared by ParseInt64 and ParseDouble.
+template <typename T, typename Convert>
+std::optional<T> ParseWithC(std::string_view text, Convert convert) {
+  char small[64];
+  std::string large;
+  const char* begin = small;
+  if (text.size() < sizeof(small)) {
+    small[text.copy(small, text.size())] = '\0';
+  } else {
+    large.assign(text);
+    begin = large.c_str();
+  }
+  errno = 0;
+  char* end = nullptr;
+  const T value = convert(begin, &end);
+  if (end == begin || *end != '\0' || errno == ERANGE) return std::nullopt;
+  return value;
+}
+
+std::string Quoted(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out.push_back('\'');
+  out.append(text);
+  out.push_back('\'');
+  return out;
+}
+
+Status NotAn(const char* what, std::string_view key, std::string_view raw) {
+  return Status::InvalidArgument("ConfigMap: key " + Quoted(key) + " is not " +
+                                 what + ": " + Quoted(raw));
+}
+
+Result<int64_t> ToInt64(std::string_view key, std::string_view raw) {
+  const std::optional<int64_t> value = ParseInt64(raw);
+  if (!value) return NotAn("an integer", key, raw);
+  return *value;
+}
+
+Result<double> ToDouble(std::string_view key, std::string_view raw) {
+  const std::optional<double> value = ParseDouble(raw);
+  if (!value) return NotAn("a number", key, raw);
+  return *value;
+}
+
+Result<bool> ToBool(std::string_view key, std::string_view raw) {
+  if (EqualsIgnoreCase(raw, "true") || raw == "1") return true;
+  if (EqualsIgnoreCase(raw, "false") || raw == "0") return false;
+  return NotAn("a bool", key, raw);
+}
+
+}  // namespace
+
+std::string_view TrimWhitespace(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (begin < end && IsSpace(text[begin])) ++begin;
+  while (end > begin && IsSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
-Result<ConfigMap> ConfigMap::Parse(const std::string& text) {
+std::optional<int64_t> ParseInt64(std::string_view text) {
+  return ParseWithC<int64_t>(text, [](const char* begin, char** stop) {
+    return static_cast<int64_t>(std::strtoll(begin, stop, 10));
+  });
+}
+
+std::optional<double> ParseDouble(std::string_view text) {
+  // strtod is what decides, but it is slow on the 17-digit text every writer
+  // emits (three such fields per label_arrived). std::from_chars reads that
+  // plain form; where it consumes the whole text to a normal double, strtod
+  // would have accepted it and, both being correctly rounded, returned the
+  // same value. Anything else (a plus sign, whitespace, hex, inf/nan, zero,
+  // subnormal or out-of-range results) goes to strtod.
+  double value = 0.0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error == std::errc() && end == text.data() + text.size() &&
+      std::isnormal(value)) {
+    return value;
+  }
+  return ParseWithC<double>(text, [](const char* begin, char** stop) {
+    return std::strtod(begin, stop);
+  });
+}
+
+void AppendConfigLine(std::string_view key, std::string_view value,
+                      std::string* out) {
+  out->append(key).append(" = ").append(value).push_back('\n');
+}
+
+void AppendConfigInt64(std::string_view key, int64_t value, std::string* out) {
+  out->append(key).append(" = ");
+  AppendInt64(value, out);
+  out->push_back('\n');
+}
+
+void AppendConfigDouble(std::string_view key, double value, std::string* out) {
+  out->append(key).append(" = ");
+  AppendDouble(value, out);
+  out->push_back('\n');
+}
+
+void AppendConfigBool(std::string_view key, bool value, std::string* out) {
+  AppendConfigLine(key, value ? "true" : "false", out);
+}
+
+Result<ConfigMap> ConfigMap::Parse(std::string_view text) {
   ConfigMap config;
-  std::istringstream in(text);
-  std::string line;
+  config.text_.assign(text);
+  const std::string_view all(config.text_);
+  config.entries_.reserve(
+      static_cast<size_t>(std::count(all.begin(), all.end(), '\n')) + 1);
   size_t line_number = 0;
-  while (std::getline(in, line)) {
+  size_t pos = 0;
+  while (pos < all.size()) {
     ++line_number;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
+    size_t eol = all.find('\n', pos);
+    if (eol == std::string_view::npos) eol = all.size();
+    std::string_view line = all.substr(pos, eol - pos);
+    pos = eol + 1;
+    line = line.substr(0, line.find('#'));
     line = TrimWhitespace(line);
     if (line.empty()) continue;
     const size_t eq = line.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string_view::npos) {
       return Status::InvalidArgument("ConfigMap: line " +
                                      std::to_string(line_number) +
-                                     " is not 'key = value': '" + line + "'");
+                                     " is not 'key = value': " + Quoted(line));
     }
-    Entry entry;
-    entry.key = TrimWhitespace(line.substr(0, eq));
-    entry.value = TrimWhitespace(line.substr(eq + 1));
-    if (entry.key.empty()) {
+    const std::string_view key = TrimWhitespace(line.substr(0, eq));
+    const std::string_view value = TrimWhitespace(line.substr(eq + 1));
+    if (key.empty()) {
       return Status::InvalidArgument("ConfigMap: empty key at line " +
                                      std::to_string(line_number));
     }
-    if (config.Find(entry.key) != nullptr) {
-      return Status::InvalidArgument("ConfigMap: duplicate key '" + entry.key +
-                                     "' at line " + std::to_string(line_number));
+    if (config.Find(key) != nullptr) {
+      return Status::InvalidArgument("ConfigMap: duplicate key " + Quoted(key) +
+                                     " at line " + std::to_string(line_number));
     }
-    config.entries_.push_back(std::move(entry));
+    Entry entry;
+    entry.key_begin = static_cast<size_t>(key.data() - all.data());
+    entry.key_size = key.size();
+    entry.value_begin = static_cast<size_t>(value.data() - all.data());
+    entry.value_size = value.size();
+    config.entries_.push_back(entry);
   }
   return config;
 }
@@ -65,101 +194,83 @@ Result<ConfigMap> ConfigMap::ParseFile(const std::string& path) {
   return config;
 }
 
-const ConfigMap::Entry* ConfigMap::Find(const std::string& key) const {
+const ConfigMap::Entry* ConfigMap::Find(std::string_view key) const {
   for (const Entry& entry : entries_) {
-    if (entry.key == key) return &entry;
+    if (KeyOf(entry) == key) return &entry;
   }
   return nullptr;
 }
 
-bool ConfigMap::Has(const std::string& key) const { return Find(key) != nullptr; }
-
-Result<std::string> ConfigMap::GetString(const std::string& key) const {
+std::optional<std::string_view> ConfigMap::Read(std::string_view key) const {
   const Entry* entry = Find(key);
-  if (entry == nullptr) {
-    return Status::NotFound("ConfigMap: missing key '" + key + "'");
-  }
+  if (entry == nullptr) return std::nullopt;
   entry->used = true;
-  return entry->value;
+  return ValueOf(*entry);
 }
 
-std::string ConfigMap::GetStringOr(const std::string& key,
-                                   const std::string& fallback) const {
-  const Entry* entry = Find(key);
-  if (entry == nullptr) return fallback;
-  entry->used = true;
-  return entry->value;
+Result<std::string_view> ConfigMap::ReadRequired(std::string_view key) const {
+  const std::optional<std::string_view> raw = Read(key);
+  if (!raw) return Status::NotFound("ConfigMap: missing key " + Quoted(key));
+  return *raw;
 }
 
-Result<int64_t> ConfigMap::GetInt64(const std::string& key) const {
-  OASIS_ASSIGN_OR_RETURN(std::string raw, GetString(key));
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("ConfigMap: key '" + key +
-                                   "' is not an integer: '" + raw + "'");
-  }
-  return static_cast<int64_t>(value);
+bool ConfigMap::Has(std::string_view key) const { return Find(key) != nullptr; }
+
+Result<std::string> ConfigMap::GetString(std::string_view key) const {
+  OASIS_ASSIGN_OR_RETURN(const std::string_view raw, ReadRequired(key));
+  return std::string(raw);
 }
 
-Result<int64_t> ConfigMap::GetInt64Or(const std::string& key,
+std::string ConfigMap::GetStringOr(std::string_view key,
+                                   std::string_view fallback) const {
+  return std::string(Read(key).value_or(fallback));
+}
+
+Result<int64_t> ConfigMap::GetInt64(std::string_view key) const {
+  OASIS_ASSIGN_OR_RETURN(const std::string_view raw, ReadRequired(key));
+  return ToInt64(key, raw);
+}
+
+Result<int64_t> ConfigMap::GetInt64Or(std::string_view key,
                                       int64_t fallback) const {
-  if (!Has(key)) return fallback;
-  return GetInt64(key);
+  const std::optional<std::string_view> raw = Read(key);
+  if (!raw) return fallback;
+  return ToInt64(key, *raw);
 }
 
-Result<double> ConfigMap::GetDouble(const std::string& key) const {
-  OASIS_ASSIGN_OR_RETURN(std::string raw, GetString(key));
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("ConfigMap: key '" + key +
-                                   "' is not a number: '" + raw + "'");
-  }
-  return value;
+Result<double> ConfigMap::GetDouble(std::string_view key) const {
+  OASIS_ASSIGN_OR_RETURN(const std::string_view raw, ReadRequired(key));
+  return ToDouble(key, raw);
 }
 
-Result<double> ConfigMap::GetDoubleOr(const std::string& key,
+Result<double> ConfigMap::GetDoubleOr(std::string_view key,
                                       double fallback) const {
-  if (!Has(key)) return fallback;
-  return GetDouble(key);
+  const std::optional<std::string_view> raw = Read(key);
+  if (!raw) return fallback;
+  return ToDouble(key, *raw);
 }
 
-Result<bool> ConfigMap::GetBool(const std::string& key) const {
-  OASIS_ASSIGN_OR_RETURN(std::string raw, GetString(key));
-  std::string lowered;
-  for (char c : raw) lowered.push_back(static_cast<char>(std::tolower(
-      static_cast<unsigned char>(c))));
-  if (lowered == "true" || lowered == "1") return true;
-  if (lowered == "false" || lowered == "0") return false;
-  return Status::InvalidArgument("ConfigMap: key '" + key +
-                                 "' is not a bool: '" + raw + "'");
+Result<bool> ConfigMap::GetBool(std::string_view key) const {
+  OASIS_ASSIGN_OR_RETURN(const std::string_view raw, ReadRequired(key));
+  return ToBool(key, raw);
 }
 
-Result<bool> ConfigMap::GetBoolOr(const std::string& key, bool fallback) const {
-  if (!Has(key)) return fallback;
-  return GetBool(key);
+Result<bool> ConfigMap::GetBoolOr(std::string_view key, bool fallback) const {
+  const std::optional<std::string_view> raw = Read(key);
+  if (!raw) return fallback;
+  return ToBool(key, *raw);
 }
 
-std::vector<std::string> ConfigMap::GetStringList(const std::string& key) const {
+std::vector<std::string> ConfigMap::GetStringList(std::string_view key) const {
   std::vector<std::string> items;
-  const Entry* entry = Find(key);
-  if (entry == nullptr) return items;
-  entry->used = true;
-  std::string current;
-  for (char c : entry->value) {
-    if (c == ',') {
-      const std::string trimmed = TrimWhitespace(current);
-      if (!trimmed.empty()) items.push_back(trimmed);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
+  std::string_view rest = Read(key).value_or(std::string_view());
+  while (!rest.empty()) {
+    const size_t comma = rest.find(',');
+    const std::string_view item = TrimWhitespace(rest.substr(0, comma));
+    if (!item.empty()) items.emplace_back(item);
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
   }
-  const std::string trimmed = TrimWhitespace(current);
-  if (!trimmed.empty()) items.push_back(trimmed);
   return items;
 }
 
@@ -168,7 +279,7 @@ Status ConfigMap::CheckAllKeysUsed() const {
   for (const Entry& entry : entries_) {
     if (!entry.used) {
       if (!unused.empty()) unused += ", ";
-      unused += "'" + entry.key + "'";
+      unused += Quoted(KeyOf(entry));
     }
   }
   if (!unused.empty()) {
@@ -180,7 +291,7 @@ Status ConfigMap::CheckAllKeysUsed() const {
 std::vector<std::string> ConfigMap::Keys() const {
   std::vector<std::string> keys;
   keys.reserve(entries_.size());
-  for (const Entry& entry : entries_) keys.push_back(entry.key);
+  for (const Entry& entry : entries_) keys.emplace_back(KeyOf(entry));
   return keys;
 }
 
@@ -239,15 +350,13 @@ Result<int64_t> CommandLine::FlagInt64Or(const std::string& name,
   const Flag* flag = Find(name);
   if (flag == nullptr) return fallback;
   flag->used = true;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(flag->value.c_str(), &end, 10);
-  if (end == flag->value.c_str() || *end != '\0' || errno == ERANGE) {
+  const std::optional<int64_t> value = ParseInt64(flag->value);
+  if (!value) {
     return Status::InvalidArgument("option '--" + name +
                                    "' is not an integer: '" + flag->value +
                                    "'");
   }
-  return static_cast<int64_t>(value);
+  return *value;
 }
 
 Result<double> CommandLine::FlagDoubleOr(const std::string& name,
@@ -255,14 +364,12 @@ Result<double> CommandLine::FlagDoubleOr(const std::string& name,
   const Flag* flag = Find(name);
   if (flag == nullptr) return fallback;
   flag->used = true;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(flag->value.c_str(), &end);
-  if (end == flag->value.c_str() || *end != '\0' || errno == ERANGE) {
+  const std::optional<double> value = ParseDouble(flag->value);
+  if (!value) {
     return Status::InvalidArgument("option '--" + name +
                                    "' is not a number: '" + flag->value + "'");
   }
-  return value;
+  return *value;
 }
 
 Status CommandLine::CheckAllFlagsUsed() const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -26,43 +27,47 @@ namespace experiments {
 /// instead of silently ignoring a misspelled option.
 class ConfigMap {
  public:
-  /// Parses `text` (the contents of a config file). Fails on malformed lines
-  /// (no '='), empty keys, or duplicate keys.
-  static Result<ConfigMap> Parse(const std::string& text);
+  /// Parses `text` (the contents of a config file) in one pass over a copy
+  /// the map owns. Fails on malformed lines (no '='), empty keys, or
+  /// duplicate keys.
+  static Result<ConfigMap> Parse(std::string_view text);
 
   /// Reads and parses the file at `path`.
   static Result<ConfigMap> ParseFile(const std::string& path);
 
   /// Whether `key` is present.
-  bool Has(const std::string& key) const;
+  bool Has(std::string_view key) const;
 
   /// The raw value of `key`; fails with NotFound when absent.
-  Result<std::string> GetString(const std::string& key) const;
+  Result<std::string> GetString(std::string_view key) const;
 
   /// The value of `key`, or `fallback` when absent.
-  std::string GetStringOr(const std::string& key, const std::string& fallback) const;
+  std::string GetStringOr(std::string_view key,
+                          std::string_view fallback) const;
 
-  /// The value parsed as int64; fails on absence or on trailing garbage.
-  Result<int64_t> GetInt64(const std::string& key) const;
+  /// The value parsed as int64 (ParseInt64); fails on absence or on a value
+  /// ParseInt64 rejects.
+  Result<int64_t> GetInt64(std::string_view key) const;
 
   /// Integer value with a default for absent keys (parse errors still fail).
-  Result<int64_t> GetInt64Or(const std::string& key, int64_t fallback) const;
+  Result<int64_t> GetInt64Or(std::string_view key, int64_t fallback) const;
 
-  /// The value parsed as double; fails on absence or non-numeric text.
-  Result<double> GetDouble(const std::string& key) const;
+  /// The value parsed as double (ParseDouble); fails on absence or on a
+  /// value ParseDouble rejects.
+  Result<double> GetDouble(std::string_view key) const;
 
   /// Double value with a default for absent keys (parse errors still fail).
-  Result<double> GetDoubleOr(const std::string& key, double fallback) const;
+  Result<double> GetDoubleOr(std::string_view key, double fallback) const;
 
   /// The value parsed as bool ("true"/"false"/"1"/"0", case-insensitive).
-  Result<bool> GetBool(const std::string& key) const;
+  Result<bool> GetBool(std::string_view key) const;
 
   /// Bool value with a default for absent keys (parse errors still fail).
-  Result<bool> GetBoolOr(const std::string& key, bool fallback) const;
+  Result<bool> GetBoolOr(std::string_view key, bool fallback) const;
 
   /// The value split on commas with each element trimmed; empty elements are
   /// dropped. Absent key -> empty list.
-  std::vector<std::string> GetStringList(const std::string& key) const;
+  std::vector<std::string> GetStringList(std::string_view key) const;
 
   /// Fails with InvalidArgument naming every key that was never read by any
   /// getter — the typo guard every app runs after consuming its options.
@@ -72,22 +77,73 @@ class ConfigMap {
   std::vector<std::string> Keys() const;
 
  private:
+  /// One `key = value` line, as byte ranges of `text_` (offsets, not views,
+  /// so a copied or moved map stays valid).
   struct Entry {
-    /// The key as written in the file (trimmed).
-    std::string key;
-    /// The raw value (trimmed; list splitting happens in GetStringList).
-    std::string value;
+    /// Offset of the key as written in the file (trimmed).
+    size_t key_begin = 0;
+    /// Length of the key.
+    size_t key_size = 0;
+    /// Offset of the raw value (trimmed; list splitting happens in
+    /// GetStringList).
+    size_t value_begin = 0;
+    /// Length of the raw value.
+    size_t value_size = 0;
     /// Set by every getter; CheckAllKeysUsed reports entries never read.
     mutable bool used = false;
   };
 
-  const Entry* Find(const std::string& key) const;
+  std::string_view KeyOf(const Entry& entry) const {
+    return std::string_view(text_).substr(entry.key_begin, entry.key_size);
+  }
+  std::string_view ValueOf(const Entry& entry) const {
+    return std::string_view(text_).substr(entry.value_begin, entry.value_size);
+  }
 
+  const Entry* Find(std::string_view key) const;
+
+  /// The value of `key` marked used, or nullopt when absent.
+  std::optional<std::string_view> Read(std::string_view key) const;
+
+  /// Read, failing with NotFound when `key` is absent.
+  Result<std::string_view> ReadRequired(std::string_view key) const;
+
+  /// The parsed text; every Entry indexes into it.
+  std::string text_;
   std::vector<Entry> entries_;
 };
 
-/// Strips leading and trailing whitespace (shared with the CSV/JSON readers).
-std::string TrimWhitespace(const std::string& text);
+/// Strips leading and trailing "C"-locale whitespace (space, \t, \n, \v,
+/// \f, \r). The result views `text`.
+std::string_view TrimWhitespace(std::string_view text);
+
+/// Parses all of `text` as a base-10 int64 through strtoll with the
+/// whole-field check: leading whitespace and a sign are accepted, and so is
+/// anything after an embedded NUL (the C parser stops there); empty text,
+/// trailing bytes and ERANGE are rejected. The one integer parser behind
+/// every ConfigMap getter, the wire protocol's list fields and CommandLine.
+std::optional<int64_t> ParseInt64(std::string_view text);
+
+/// Parses all of `text` as a double through strtod with ParseInt64's rules
+/// (ERANGE, i.e. overflow or underflow, is rejected). Plain decimal text
+/// with a normal result is read by std::from_chars, which returns strtod's
+/// value for it faster.
+std::optional<double> ParseDouble(std::string_view text);
+
+/// Appends the config line `key = value\n`, `value` as is. The writers
+/// below, the scenario spec and the wire protocol all emit this one shape.
+void AppendConfigLine(std::string_view key, std::string_view value,
+                      std::string* out);
+
+/// Appends `key = <value>\n` with `value` in decimal (AppendInt64).
+void AppendConfigInt64(std::string_view key, int64_t value, std::string* out);
+
+/// Appends `key = <value>\n` with `value` as `%.17g` (WriteDouble), which
+/// GetDouble reads back to the same double.
+void AppendConfigDouble(std::string_view key, double value, std::string* out);
+
+/// Appends `key = true\n` or `key = false\n`.
+void AppendConfigBool(std::string_view key, bool value, std::string* out);
 
 /// Parsed command line of an oasis_* app: positional operands plus
 /// --key=value / --flag options, with the same used-key discipline as

@@ -1,10 +1,11 @@
 #include "experiments/csv.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include "common/number_format.h"
 
 namespace oasis {
 namespace experiments {
@@ -36,11 +37,11 @@ Status WritePoolCsv(const std::string& path, const ScoredPool& pool,
     return Status::Internal("WritePoolCsv: cannot open '" + path + "'");
   }
   out << (truth != nullptr ? "score,prediction,truth\n" : "score,prediction\n");
-  char buffer[64];
+  char buffer[kNumberChars];
   for (int64_t i = 0; i < pool.size(); ++i) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g",
-                  pool.scores[static_cast<size_t>(i)]);
-    out << buffer << ',' << int{pool.predictions[static_cast<size_t>(i)]};
+    const char* end = WriteDouble(pool.scores[static_cast<size_t>(i)], buffer);
+    out.write(buffer, end - buffer);
+    out << ',' << int{pool.predictions[static_cast<size_t>(i)]};
     if (truth != nullptr) out << ',' << int{(*truth)[static_cast<size_t>(i)]};
     out << '\n';
   }

@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -241,75 +241,57 @@ Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
   return spec;
 }
 
-namespace {
-
-/// One `key = value` config line with a %.17g number (value-exact through
-/// ConfigMap's strtod/strtoll round trip).
-void AppendConfigLine(const std::string& key, double value, std::string* out) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  *out += key + " = " + buffer + "\n";
-}
-
-void AppendConfigLine(const std::string& key, int64_t value, std::string* out) {
-  *out += key + " = " + std::to_string(value) + "\n";
-}
-
-}  // namespace
-
 void AppendStackSpecConfig(const StackSpec& spec, const std::string& prefix,
                            std::string* out) {
+  // Every key is `prefix` + name, built in one reused buffer.
+  std::string key = prefix;
+  const auto prefixed = [&key, &prefix](std::string_view name) {
+    key.resize(prefix.size());
+    key.append(name);
+    return std::string_view(key);
+  };
+  const auto number = [&](std::string_view name, double value) {
+    AppendConfigDouble(prefixed(name), value, out);
+  };
+  const auto integer = [&](std::string_view name, int64_t value) {
+    AppendConfigInt64(prefixed(name), value, out);
+  };
   if (spec.fault_injection.has_value()) {
     const FaultInjectionOptions& fi = *spec.fault_injection;
-    *out += prefix + "fault = true\n";
-    AppendConfigLine(prefix + "fault_transient_rate", fi.transient_failure_rate,
-                     out);
-    AppendConfigLine(prefix + "fault_timeout_rate", fi.timeout_rate, out);
-    AppendConfigLine(prefix + "fault_item_drop_rate", fi.item_drop_rate, out);
-    AppendConfigLine(prefix + "fault_outage_after", fi.outage_after_attempts,
-                     out);
-    AppendConfigLine(prefix + "fault_seed", static_cast<int64_t>(fi.seed), out);
+    AppendConfigBool(prefixed("fault"), true, out);
+    number("fault_transient_rate", fi.transient_failure_rate);
+    number("fault_timeout_rate", fi.timeout_rate);
+    number("fault_item_drop_rate", fi.item_drop_rate);
+    integer("fault_outage_after", fi.outage_after_attempts);
+    integer("fault_seed", static_cast<int64_t>(fi.seed));
   }
   if (spec.remote.has_value()) {
     const RemoteOracleOptions& ro = *spec.remote;
-    *out += prefix + "remote = true\n";
-    AppendConfigLine(prefix + "remote_round_trip_seconds",
-                     ro.round_trip_seconds, out);
-    AppendConfigLine(prefix + "remote_per_item_seconds", ro.per_item_seconds,
-                     out);
-    AppendConfigLine(prefix + "remote_cost_per_label", ro.cost_per_label, out);
-    AppendConfigLine(prefix + "remote_jitter_fraction", ro.jitter_fraction,
-                     out);
-    AppendConfigLine(prefix + "remote_jitter_seed",
-                     static_cast<int64_t>(ro.jitter_seed), out);
-    AppendConfigLine(prefix + "remote_max_items_per_trip",
-                     ro.max_items_per_round_trip, out);
+    AppendConfigBool(prefixed("remote"), true, out);
+    number("remote_round_trip_seconds", ro.round_trip_seconds);
+    number("remote_per_item_seconds", ro.per_item_seconds);
+    number("remote_cost_per_label", ro.cost_per_label);
+    number("remote_jitter_fraction", ro.jitter_fraction);
+    integer("remote_jitter_seed", static_cast<int64_t>(ro.jitter_seed));
+    integer("remote_max_items_per_trip", ro.max_items_per_round_trip);
   }
   if (spec.retry.has_value()) {
     const RetryPolicy& rp = *spec.retry;
-    *out += prefix + "retry = true\n";
-    AppendConfigLine(prefix + "retry_max_attempts",
-                     static_cast<int64_t>(rp.max_attempts), out);
-    AppendConfigLine(prefix + "retry_initial_backoff_seconds",
-                     rp.initial_backoff_seconds, out);
-    AppendConfigLine(prefix + "retry_backoff_multiplier", rp.backoff_multiplier,
-                     out);
-    AppendConfigLine(prefix + "retry_max_backoff_seconds",
-                     rp.max_backoff_seconds, out);
-    AppendConfigLine(prefix + "retry_jitter_fraction", rp.jitter_fraction, out);
-    AppendConfigLine(prefix + "retry_jitter_seed",
-                     static_cast<int64_t>(rp.jitter_seed), out);
-    AppendConfigLine(prefix + "retry_per_attempt_timeout_seconds",
-                     rp.per_attempt_timeout_seconds, out);
-    AppendConfigLine(prefix + "retry_overall_deadline_seconds",
-                     rp.overall_deadline_seconds, out);
-    AppendConfigLine(prefix + "retry_breaker_threshold",
-                     static_cast<int64_t>(rp.breaker_failure_threshold), out);
-    AppendConfigLine(prefix + "retry_breaker_cooldown_calls",
-                     rp.breaker_cooldown_calls, out);
+    AppendConfigBool(prefixed("retry"), true, out);
+    integer("retry_max_attempts", rp.max_attempts);
+    number("retry_initial_backoff_seconds", rp.initial_backoff_seconds);
+    number("retry_backoff_multiplier", rp.backoff_multiplier);
+    number("retry_max_backoff_seconds", rp.max_backoff_seconds);
+    number("retry_jitter_fraction", rp.jitter_fraction);
+    integer("retry_jitter_seed", static_cast<int64_t>(rp.jitter_seed));
+    number("retry_per_attempt_timeout_seconds",
+           rp.per_attempt_timeout_seconds);
+    number("retry_overall_deadline_seconds", rp.overall_deadline_seconds);
+    integer("retry_breaker_threshold", rp.breaker_failure_threshold);
+    integer("retry_breaker_cooldown_calls", rp.breaker_cooldown_calls);
   }
   if (spec.share_labels) {
-    *out += prefix + "share_labels = true\n";
+    AppendConfigBool(prefixed("share_labels"), true, out);
   }
 }
 

@@ -2,32 +2,18 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "common/number_format.h"
+
 namespace oasis {
 namespace experiments {
 
 namespace {
-
-std::string JsonNumber(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-void AppendNumberArray(std::ostringstream& out, const std::vector<double>& v) {
-  out << '[';
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out << ',';
-    out << JsonNumber(v[i]);
-  }
-  out << ']';
-}
 
 /// Token-level parser for the summary's own flat schema: one object whose
 /// values are strings (no escapes needed — method/scenario names are plain),
@@ -207,48 +193,61 @@ class FlatJsonParser {
 }  // namespace
 
 std::string RunSummaryToJson(const RunSummary& summary) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"schema_version\": " << summary.schema_version << ",\n";
-  out << "  \"scenario\": \"" << summary.scenario << "\",\n";
-  out << "  \"method\": \"" << summary.method << "\",\n";
-  out << "  \"alpha\": " << JsonNumber(summary.alpha) << ",\n";
-  out << "  \"pool_size\": " << summary.pool_size << ",\n";
-  out << "  \"scenario_seed\": " << summary.scenario_seed << ",\n";
-  out << "  \"run_seed\": " << summary.run_seed << ",\n";
-  out << "  \"true_f\": " << JsonNumber(summary.true_f) << ",\n";
-  out << "  \"budget\": " << summary.budget << ",\n";
-  out << "  \"repeats\": " << summary.repeats << ",\n";
-  out << "  \"final_mean_estimate\": " << JsonNumber(summary.final_mean_estimate)
-      << ",\n";
-  out << "  \"final_mean_abs_error\": "
-      << JsonNumber(summary.final_mean_abs_error) << ",\n";
-  out << "  \"final_stddev\": " << JsonNumber(summary.final_stddev) << ",\n";
-  out << "  \"final_frac_defined\": " << JsonNumber(summary.final_frac_defined)
-      << ",\n";
-  out << "  \"expect_sis_degeneracy\": "
-      << (summary.expect_sis_degeneracy ? "true" : "false") << ",\n";
-  out << "  \"degeneracy_monitored\": "
-      << (summary.degeneracy_monitored ? "true" : "false") << ",\n";
-  out << "  \"degeneracy_tripped\": "
-      << (summary.degeneracy_tripped ? "true" : "false") << ",\n";
-  out << "  \"final_ess_fraction\": " << JsonNumber(summary.final_ess_fraction)
-      << ",\n";
-  out << "  \"max_weight_share\": " << JsonNumber(summary.max_weight_share)
-      << ",\n";
-  out << "  \"verify_tolerance\": " << JsonNumber(summary.verify_tolerance)
-      << ",\n";
-  out << "  \"final_estimates\": ";
-  AppendNumberArray(out, summary.final_estimates);
-  out << ",\n";
-  out << "  \"final_defined\": [";
-  for (size_t i = 0; i < summary.final_defined.size(); ++i) {
-    if (i > 0) out << ',';
-    out << int{summary.final_defined[i]};
+  std::string out = "{\n";
+  // Each field is one `  "key": value,\n` line; the last one has no comma.
+  const auto key = [&out](const char* name) {
+    out.append("  \"").append(name).append("\": ");
+  };
+  const auto number = [&](const char* name, double value) {
+    key(name);
+    AppendDouble(value, &out);
+    out.append(",\n");
+  };
+  const auto integer = [&](const char* name, const std::string& value) {
+    key(name);
+    out.append(value).append(",\n");
+  };
+  const auto boolean = [&](const char* name, bool value) {
+    key(name);
+    out.append(value ? "true" : "false").append(",\n");
+  };
+  integer("schema_version", std::to_string(summary.schema_version));
+  key("scenario");
+  out.append("\"").append(summary.scenario).append("\",\n");
+  key("method");
+  out.append("\"").append(summary.method).append("\",\n");
+  number("alpha", summary.alpha);
+  integer("pool_size", std::to_string(summary.pool_size));
+  integer("scenario_seed", std::to_string(summary.scenario_seed));
+  integer("run_seed", std::to_string(summary.run_seed));
+  number("true_f", summary.true_f);
+  integer("budget", std::to_string(summary.budget));
+  integer("repeats", std::to_string(summary.repeats));
+  number("final_mean_estimate", summary.final_mean_estimate);
+  number("final_mean_abs_error", summary.final_mean_abs_error);
+  number("final_stddev", summary.final_stddev);
+  number("final_frac_defined", summary.final_frac_defined);
+  boolean("expect_sis_degeneracy", summary.expect_sis_degeneracy);
+  boolean("degeneracy_monitored", summary.degeneracy_monitored);
+  boolean("degeneracy_tripped", summary.degeneracy_tripped);
+  number("final_ess_fraction", summary.final_ess_fraction);
+  number("max_weight_share", summary.max_weight_share);
+  number("verify_tolerance", summary.verify_tolerance);
+  key("final_estimates");
+  out.push_back('[');
+  for (size_t i = 0; i < summary.final_estimates.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    AppendDouble(summary.final_estimates[i], &out);
   }
-  out << "]\n";
-  out << "}\n";
-  return out.str();
+  out.append("],\n");
+  key("final_defined");
+  out.push_back('[');
+  for (size_t i = 0; i < summary.final_defined.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out.append(std::to_string(int{summary.final_defined[i]}));
+  }
+  out.append("]\n}\n");
+  return out;
 }
 
 Status WriteRunSummaryJson(const std::string& path, const RunSummary& summary) {

@@ -1,9 +1,9 @@
 #include "service/protocol.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <optional>
+#include <string_view>
 
+#include "common/number_format.h"
 #include "experiments/config.h"
 #include "experiments/runner.h"
 
@@ -11,40 +11,49 @@ namespace oasis {
 namespace service {
 namespace {
 
+using experiments::AppendConfigBool;
+using experiments::AppendConfigDouble;
+using experiments::AppendConfigInt64;
+using experiments::AppendConfigLine;
 using experiments::ConfigMap;
 
 // ---------------------------------------------------------------------------
-// Wire-form helpers. One `key = value` line per field; numbers through the
-// same %.17g / strtod round trip as the summary JSON, strings through a
-// minimal percent-encoding so any byte sequence survives the line framing
-// and ConfigMap's comment/trim rules.
+// Wire-form helpers. One `key = value` line per field, appended straight into
+// the message (experiments::AppendConfig*); numbers through the shared
+// %.17g formatter and the strtoll/strtod parsers (value-exact round trips),
+// strings through a minimal percent-encoding so any byte sequence survives
+// the line framing and ConfigMap's comment/trim rules.
 // ---------------------------------------------------------------------------
 
-bool IsWire(char c) { return c == ' ' || c == '\t'; }
+/// Whitespace ConfigMap trims from a value's ends that the encoder does not
+/// already escape everywhere ('\n' and '\r' always are).
+bool IsWire(char c) {
+  return c == ' ' || c == '\t' || c == '\v' || c == '\f';
+}
 
-/// Percent-encodes `text` for a config value: '%', '#' (comment starter),
+/// Appends `key = <text percent-encoded>\n`: '%', '#' (comment starter),
 /// CR/LF (line framing) always; leading/trailing whitespace (which ConfigMap
 /// would trim away) positionally.
-std::string PercentEncode(const std::string& text) {
+void AppendText(std::string_view key, std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
   size_t head = 0;
   while (head < text.size() && IsWire(text[head])) ++head;
   size_t tail = text.size();
   while (tail > head && IsWire(text[tail - 1])) --tail;
-  std::string out;
-  out.reserve(text.size());
+  out->append(key).append(" = ");
   for (size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
     const bool positional = (i < head || i >= tail) && IsWire(c);
     if (c == '%' || c == '#' || c == '\n' || c == '\r' || positional) {
-      char buffer[4];
-      std::snprintf(buffer, sizeof(buffer), "%%%02X",
-                    static_cast<unsigned char>(c));
-      out += buffer;
+      const auto byte = static_cast<unsigned char>(c);
+      out->push_back('%');
+      out->push_back(kHex[byte >> 4]);
+      out->push_back(kHex[byte & 0xF]);
     } else {
-      out += c;
+      out->push_back(c);
     }
   }
-  return out;
+  out->push_back('\n');
 }
 
 int HexDigit(char c) {
@@ -78,108 +87,57 @@ Result<std::string> PercentDecode(const std::string& text) {
   return out;
 }
 
-void AppendInt(const std::string& key, int64_t value, std::string* out) {
-  *out += key + " = " + std::to_string(value) + "\n";
-}
-
-void AppendDouble(const std::string& key, double value, std::string* out) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  *out += key + " = " + buffer + "\n";
-}
-
-void AppendBool(const std::string& key, bool value, std::string* out) {
-  *out += key + " = " + (value ? std::string("true") : std::string("false")) +
-          "\n";
-}
-
-void AppendText(const std::string& key, const std::string& value,
-                std::string* out) {
-  *out += key + " = " + PercentEncode(value) + "\n";
-}
-
-void AppendInt64List(const std::string& key, const std::vector<int64_t>& values,
-                     std::string* out) {
-  if (values.empty()) return;  // Absent key parses back to an empty list.
-  std::string joined;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) joined += ",";
-    joined += std::to_string(values[i]);
-  }
-  *out += key + " = " + joined + "\n";
-}
-
-void AppendDoubleList(const std::string& key, const std::vector<double>& values,
-                      std::string* out) {
+/// Appends `key = v0,v1,...\n` with `write(value, out)` per item; an empty
+/// list writes nothing (an absent key parses back to an empty list).
+template <typename T, typename Write>
+void AppendList(std::string_view key, const std::vector<T>& values,
+                Write write, std::string* out) {
   if (values.empty()) return;
-  std::string joined;
+  out->append(key).append(" = ");
   for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) joined += ",";
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", values[i]);
-    joined += buffer;
+    if (i > 0) out->push_back(',');
+    write(values[i], out);
   }
-  *out += key + " = " + joined + "\n";
+  out->push_back('\n');
 }
 
-void AppendBitList(const std::string& key, const std::vector<uint8_t>& values,
-                   std::string* out) {
-  if (values.empty()) return;
-  std::string joined;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) joined += ",";
-    joined += values[i] ? "1" : "0";
-  }
-  *out += key + " = " + joined + "\n";
+void AppendHeader(std::string_view type, std::string* out) {
+  AppendConfigInt64("oasis_service_protocol", kProtocolVersion, out);
+  AppendConfigLine("type", type, out);
 }
 
-void AppendHeader(const char* type, std::string* out) {
-  AppendInt("oasis_service_protocol", kProtocolVersion, out);
-  *out += std::string("type = ") + type + "\n";
-}
-
-Result<std::string> GetText(const ConfigMap& config, const std::string& key,
-                            const std::string& fallback) {
+Result<std::string> GetText(const ConfigMap& config, std::string_view key,
+                            std::string_view fallback) {
   return PercentDecode(config.GetStringOr(key, fallback));
 }
 
-Result<std::vector<int64_t>> GetInt64List(const ConfigMap& config,
-                                          const std::string& key) {
-  std::vector<int64_t> out;
+/// Parses every item of the comma list `key` with `parse` (ParseInt64 /
+/// ParseDouble — the scalar getters' parsers, so a list item is rejected
+/// exactly when the same text in a scalar field would be).
+template <typename T, typename Parse>
+Result<std::vector<T>> GetList(const ConfigMap& config, std::string_view key,
+                               const char* what, Parse parse) {
+  std::vector<T> out;
   for (const std::string& item : config.GetStringList(key)) {
-    char* end = nullptr;
-    const long long value = std::strtoll(item.c_str(), &end, 10);
-    if (end == item.c_str() || *end != '\0') {
-      return Status::InvalidArgument("service protocol: bad integer '" + item +
-                                     "' in list '" + key + "'");
+    const std::optional<T> value = parse(item);
+    if (!value) {
+      return Status::InvalidArgument("service protocol: bad " +
+                                     std::string(what) + " '" + item +
+                                     "' in list '" + std::string(key) + "'");
     }
-    out.push_back(static_cast<int64_t>(value));
-  }
-  return out;
-}
-
-Result<std::vector<double>> GetDoubleList(const ConfigMap& config,
-                                          const std::string& key) {
-  std::vector<double> out;
-  for (const std::string& item : config.GetStringList(key)) {
-    char* end = nullptr;
-    const double value = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0') {
-      return Status::InvalidArgument("service protocol: bad number '" + item +
-                                     "' in list '" + key + "'");
-    }
-    out.push_back(value);
+    out.push_back(*value);
   }
   return out;
 }
 
 Result<std::vector<uint8_t>> GetBitList(const ConfigMap& config,
-                                        const std::string& key) {
+                                        std::string_view key) {
   std::vector<uint8_t> out;
   for (const std::string& item : config.GetStringList(key)) {
     if (item != "0" && item != "1") {
       return Status::InvalidArgument("service protocol: bad flag '" + item +
-                                     "' in list '" + key + "' (want 0 or 1)");
+                                     "' in list '" + std::string(key) +
+                                     "' (want 0 or 1)");
     }
     out.push_back(item == "1" ? 1 : 0);
   }
@@ -191,17 +149,17 @@ Result<std::vector<uint8_t>> GetBitList(const ConfigMap& config,
 // ---------------------------------------------------------------------------
 
 void AppendReport(const EstimateReport& report, std::string* out) {
-  AppendInt("session", report.session, out);
-  AppendInt("labels_consumed", report.labels_consumed, out);
-  AppendInt("iterations", report.iterations, out);
-  AppendDouble("f_alpha", report.f_alpha, out);
-  AppendBool("f_defined", report.f_defined, out);
-  AppendDouble("precision", report.precision, out);
-  AppendBool("precision_defined", report.precision_defined, out);
-  AppendDouble("recall", report.recall, out);
-  AppendBool("recall_defined", report.recall_defined, out);
-  AppendBool("done", report.done, out);
-  AppendBool("truncated", report.truncated, out);
+  AppendConfigInt64("session", report.session, out);
+  AppendConfigInt64("labels_consumed", report.labels_consumed, out);
+  AppendConfigInt64("iterations", report.iterations, out);
+  AppendConfigDouble("f_alpha", report.f_alpha, out);
+  AppendConfigBool("f_defined", report.f_defined, out);
+  AppendConfigDouble("precision", report.precision, out);
+  AppendConfigBool("precision_defined", report.precision_defined, out);
+  AppendConfigDouble("recall", report.recall, out);
+  AppendConfigBool("recall_defined", report.recall_defined, out);
+  AppendConfigBool("done", report.done, out);
+  AppendConfigBool("truncated", report.truncated, out);
 }
 
 Result<EstimateReport> ParseReport(const ConfigMap& config) {
@@ -226,6 +184,12 @@ Result<EstimateReport> ParseReport(const ConfigMap& config) {
   return report;
 }
 
+/// The capacity every writer reserves: any message made of fixed-size fields
+/// (the longest, an estimate report with every number at full width, is
+/// < 400 bytes) fits in it; start_session, checkpoint_ack and error_reply
+/// grow past it as their strings and lists need.
+constexpr size_t kMessageBytes = 512;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -234,31 +198,32 @@ Result<EstimateReport> ParseReport(const ConfigMap& config) {
 
 std::string SerializeRequest(const Request& request) {
   std::string out;
+  out.reserve(kMessageBytes);
   if (const auto* start = std::get_if<StartSession>(&request)) {
     AppendHeader("start_session", &out);
     const SessionSpec& spec = start->spec;
     AppendText("scenario", spec.scenario, &out);
     AppendText("method", spec.method, &out);
-    AppendInt("budget", spec.budget, &out);
-    AppendInt("checkpoint_every", spec.checkpoint_every, &out);
-    AppendInt("strata", spec.strata, &out);
-    AppendInt("seed", static_cast<int64_t>(spec.seed), &out);
-    AppendInt("stream", static_cast<int64_t>(spec.stream), &out);
+    AppendConfigInt64("budget", spec.budget, &out);
+    AppendConfigInt64("checkpoint_every", spec.checkpoint_every, &out);
+    AppendConfigInt64("strata", spec.strata, &out);
+    AppendConfigInt64("seed", static_cast<int64_t>(spec.seed), &out);
+    AppendConfigInt64("stream", static_cast<int64_t>(spec.stream), &out);
     experiments::AppendStackSpecConfig(spec.stack, "stack_", &out);
   } else if (const auto* labels = std::get_if<RequestLabels>(&request)) {
     AppendHeader("request_labels", &out);
-    AppendInt("session", labels->session, &out);
-    AppendInt("labels", labels->labels, &out);
-    AppendBool("wait", labels->wait, &out);
+    AppendConfigInt64("session", labels->session, &out);
+    AppendConfigInt64("labels", labels->labels, &out);
+    AppendConfigBool("wait", labels->wait, &out);
   } else if (const auto* estimate = std::get_if<GetEstimate>(&request)) {
     AppendHeader("get_estimate", &out);
-    AppendInt("session", estimate->session, &out);
+    AppendConfigInt64("session", estimate->session, &out);
   } else if (const auto* checkpoint = std::get_if<Checkpoint>(&request)) {
     AppendHeader("checkpoint", &out);
-    AppendInt("session", checkpoint->session, &out);
+    AppendConfigInt64("session", checkpoint->session, &out);
   } else if (const auto* close = std::get_if<CloseSession>(&request)) {
     AppendHeader("close_session", &out);
-    AppendInt("session", close->session, &out);
+    AppendConfigInt64("session", close->session, &out);
   }
   return out;
 }
@@ -330,28 +295,32 @@ Result<Request> ParseRequest(const std::string& text) {
 
 std::string SerializeResponse(const Response& response) {
   std::string out;
+  out.reserve(kMessageBytes);
   if (const auto* started = std::get_if<SessionStarted>(&response)) {
     AppendHeader("session_started", &out);
-    AppendInt("session", started->session, &out);
+    AppendConfigInt64("session", started->session, &out);
   } else if (const auto* enqueued = std::get_if<LabelsEnqueued>(&response)) {
     AppendHeader("labels_enqueued", &out);
-    AppendInt("session", enqueued->session, &out);
+    AppendConfigInt64("session", enqueued->session, &out);
   } else if (const auto* arrived = std::get_if<LabelArrived>(&response)) {
     AppendHeader("label_arrived", &out);
     AppendReport(arrived->report, &out);
-    AppendInt("labels_charged", arrived->labels_charged, &out);
+    AppendConfigInt64("labels_charged", arrived->labels_charged, &out);
   } else if (const auto* estimate = std::get_if<EstimateReply>(&response)) {
     AppendHeader("estimate_reply", &out);
     AppendReport(estimate->report, &out);
   } else if (const auto* ack = std::get_if<CheckpointAck>(&response)) {
     AppendHeader("checkpoint_ack", &out);
-    AppendInt("session", ack->session, &out);
-    AppendInt("labels_consumed", ack->labels_consumed, &out);
-    AppendBool("done", ack->done, &out);
-    AppendBool("truncated", ack->truncated, &out);
-    AppendInt64List("budgets", ack->budgets, &out);
-    AppendDoubleList("f_alpha", ack->f_alpha, &out);
-    AppendBitList("f_defined", ack->f_defined, &out);
+    AppendConfigInt64("session", ack->session, &out);
+    AppendConfigInt64("labels_consumed", ack->labels_consumed, &out);
+    AppendConfigBool("done", ack->done, &out);
+    AppendConfigBool("truncated", ack->truncated, &out);
+    AppendList("budgets", ack->budgets, AppendInt64, &out);
+    AppendList("f_alpha", ack->f_alpha, AppendDouble, &out);
+    AppendList(
+        "f_defined", ack->f_defined,
+        [](uint8_t bit, std::string* line) { line->push_back(bit ? '1' : '0'); },
+        &out);
   } else if (const auto* closed = std::get_if<SessionClosed>(&response)) {
     AppendHeader("session_closed", &out);
     AppendReport(closed->report, &out);
@@ -401,8 +370,12 @@ Result<Response> ParseResponse(const std::string& text) {
     OASIS_ASSIGN_OR_RETURN(message.done, config.GetBoolOr("done", false));
     OASIS_ASSIGN_OR_RETURN(message.truncated,
                            config.GetBoolOr("truncated", false));
-    OASIS_ASSIGN_OR_RETURN(message.budgets, GetInt64List(config, "budgets"));
-    OASIS_ASSIGN_OR_RETURN(message.f_alpha, GetDoubleList(config, "f_alpha"));
+    OASIS_ASSIGN_OR_RETURN(message.budgets,
+                           GetList<int64_t>(config, "budgets", "integer",
+                                            experiments::ParseInt64));
+    OASIS_ASSIGN_OR_RETURN(message.f_alpha,
+                           GetList<double>(config, "f_alpha", "number",
+                                           experiments::ParseDouble));
     OASIS_ASSIGN_OR_RETURN(message.f_defined, GetBitList(config, "f_defined"));
     if (message.f_alpha.size() != message.budgets.size() ||
         message.f_defined.size() != message.budgets.size()) {

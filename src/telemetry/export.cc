@@ -1,28 +1,14 @@
 #include "telemetry/export.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <fstream>
+
+#include "common/number_format.h"
 
 namespace oasis {
 namespace telemetry {
 
 namespace {
-
-/// %.17g — matches the repo's JSON/CSV writers: dyadic rationals print in
-/// their exact shortest form on every compiler, which is what keeps the
-/// golden-schema locks byte-stable.
-void AppendDouble(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out->append(buffer);
-}
-
-void AppendInt(std::string* out, int64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%" PRId64, value);
-  out->append(buffer);
-}
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) —
 /// metric names and help strings are plain ASCII by convention, but the
@@ -114,14 +100,14 @@ std::string PrometheusText(const MetricRegistry& registry) {
         out.append(m.name);
         AppendPromLabels(&out, m.labels);
         out.push_back(' ');
-        AppendInt(&out, m.counter_value);
+        AppendInt64(m.counter_value, &out);
         out.push_back('\n');
         break;
       case MetricType::kGauge:
         out.append(m.name);
         AppendPromLabels(&out, m.labels);
         out.push_back(' ');
-        AppendDouble(&out, m.gauge_value);
+        AppendDouble(m.gauge_value, &out);
         out.push_back('\n');
         break;
       case MetricType::kHistogram: {
@@ -129,32 +115,28 @@ std::string PrometheusText(const MetricRegistry& registry) {
         for (size_t i = 0; i < m.bucket_bounds.size(); ++i) {
           cumulative += m.bucket_counts[i];
           std::string le;
-          {
-            char buffer[64];
-            std::snprintf(buffer, sizeof(buffer), "%.17g", m.bucket_bounds[i]);
-            le = buffer;
-          }
+          AppendDouble(m.bucket_bounds[i], &le);
           out.append(m.name).append("_bucket");
           AppendPromLabels(&out, m.labels, "le", le);
           out.push_back(' ');
-          AppendInt(&out, cumulative);
+          AppendInt64(cumulative, &out);
           out.push_back('\n');
         }
         cumulative += m.overflow_count;
         out.append(m.name).append("_bucket");
         AppendPromLabels(&out, m.labels, "le", "+Inf");
         out.push_back(' ');
-        AppendInt(&out, cumulative);
+        AppendInt64(cumulative, &out);
         out.push_back('\n');
         out.append(m.name).append("_sum");
         AppendPromLabels(&out, m.labels);
         out.push_back(' ');
-        AppendDouble(&out, m.sum);
+        AppendDouble(m.sum, &out);
         out.push_back('\n');
         out.append(m.name).append("_count");
         AppendPromLabels(&out, m.labels);
         out.push_back(' ');
-        AppendInt(&out, m.total_count);
+        AppendInt64(m.total_count, &out);
         out.push_back('\n');
         break;
       }
@@ -187,28 +169,28 @@ std::string MetricsJson(const MetricRegistry& registry) {
     switch (m.type) {
       case MetricType::kCounter:
         out.append(", \"value\": ");
-        AppendInt(&out, m.counter_value);
+        AppendInt64(m.counter_value, &out);
         break;
       case MetricType::kGauge:
         out.append(", \"value\": ");
-        AppendDouble(&out, m.gauge_value);
+        AppendDouble(m.gauge_value, &out);
         break;
       case MetricType::kHistogram:
         out.append(", \"buckets\": [");
         for (size_t i = 0; i < m.bucket_bounds.size(); ++i) {
           if (i > 0) out.append(", ");
           out.append("{\"le\": ");
-          AppendDouble(&out, m.bucket_bounds[i]);
+          AppendDouble(m.bucket_bounds[i], &out);
           out.append(", \"count\": ");
-          AppendInt(&out, m.bucket_counts[i]);
+          AppendInt64(m.bucket_counts[i], &out);
           out.append("}");
         }
         out.append("], \"inf_count\": ");
-        AppendInt(&out, m.overflow_count);
+        AppendInt64(m.overflow_count, &out);
         out.append(", \"sum\": ");
-        AppendDouble(&out, m.sum);
+        AppendDouble(m.sum, &out);
         out.append(", \"count\": ");
-        AppendInt(&out, m.total_count);
+        AppendInt64(m.total_count, &out);
         break;
     }
     out.append("}");
@@ -229,11 +211,11 @@ std::string TraceJson(std::span<const TraceEvent> events) {
     out.append(",\"cat\":");
     AppendJsonString(&out, event.category);
     out.append(",\"ph\":\"X\",\"ts\":");
-    AppendDouble(&out, event.ts_us);
+    AppendDouble(event.ts_us, &out);
     out.append(",\"dur\":");
-    AppendDouble(&out, event.dur_us);
+    AppendDouble(event.dur_us, &out);
     out.append(",\"pid\":1,\"tid\":");
-    AppendInt(&out, event.tid);
+    AppendInt64(event.tid, &out);
     out.append("}");
   }
   out.append("\n],\"displayTimeUnit\":\"ms\"}\n");

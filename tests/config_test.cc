@@ -5,9 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <vector>
+
+#include "common/number_format.h"
+#include "common/random.h"
 
 namespace oasis {
 namespace experiments {
@@ -118,6 +127,113 @@ TEST(TrimWhitespaceTest, Trims) {
   EXPECT_EQ(TrimWhitespace("  a b \t"), "a b");
   EXPECT_EQ(TrimWhitespace(""), "");
   EXPECT_EQ(TrimWhitespace(" \t "), "");
+  EXPECT_EQ(TrimWhitespace("\v\f\r\n x \r\n"), "x");
+}
+
+TEST(ConfigMapTest, ErrorMessagesNameTheLineAndKey) {
+  EXPECT_EQ(ConfigMap::Parse("a = 1\n  no equals # c\n").status().message(),
+            "ConfigMap: line 2 is not 'key = value': 'no equals'");
+  EXPECT_EQ(ConfigMap::Parse("\n = 5\n").status().message(),
+            "ConfigMap: empty key at line 2");
+  EXPECT_EQ(ConfigMap::Parse("k = 1\r\nk = 2\n").status().message(),
+            "ConfigMap: duplicate key 'k' at line 2");
+  auto config = ConfigMap::Parse("n = 1x\nb = yes\n").ValueOrDie();
+  EXPECT_EQ(config.GetInt64("n").status().message(),
+            "ConfigMap: key 'n' is not an integer: '1x'");
+  EXPECT_EQ(config.GetDouble("n").status().message(),
+            "ConfigMap: key 'n' is not a number: '1x'");
+  EXPECT_EQ(config.GetBool("b").status().message(),
+            "ConfigMap: key 'b' is not a bool: 'yes'");
+  EXPECT_EQ(config.GetString("zz").status().message(),
+            "ConfigMap: missing key 'zz'");
+}
+
+TEST(ConfigMapTest, ConfigLineWritersReadBack) {
+  std::string text;
+  AppendConfigInt64("i", -9223372036854775807 - 1, &text);
+  AppendConfigDouble("d", 0.1, &text);
+  AppendConfigBool("b", false, &text);
+  AppendConfigLine("s", "x, y", &text);
+  EXPECT_EQ(text,
+            "i = -9223372036854775808\nd = 0.10000000000000001\nb = false\n"
+            "s = x, y\n");
+  auto config = ConfigMap::Parse(text).ValueOrDie();
+  EXPECT_EQ(config.GetInt64("i").ValueOrDie(), INT64_MIN);
+  EXPECT_EQ(config.GetDouble("d").ValueOrDie(), 0.1);
+  EXPECT_FALSE(config.GetBool("b").ValueOrDie());
+  EXPECT_EQ(config.GetStringList("s"), (std::vector<std::string>{"x", "y"}));
+}
+
+// The grammar's numbers are defined by the C parsers with whole-field and
+// ERANGE checks; ParseInt64/ParseDouble must accept exactly those spellings
+// and return the same values (ParseDouble's from_chars path included).
+std::optional<int64_t> StrtollReference(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(value);
+}
+
+std::optional<double> StrtodReference(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+bool SameDouble(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0 ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+TEST(ConfigNumbersTest, ParseInt64MatchesStrtoll) {
+  std::vector<std::string> spellings = {
+      "0", "-0", "+5", " 5", "\t-5", "5 ", "007", "9223372036854775807",
+      "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+      "99999999999999999999", "0x10", "1e3", "", "-", "+", "12a", "1.0",
+      std::string("5\0x", 3), std::string(70, '1'), "0" + std::string(70, '0')};
+  Rng rng(1234);
+  for (int i = 0; i < 2000; ++i) {
+    spellings.push_back(std::to_string(
+        static_cast<int64_t>(rng.NextUint64() >> (i % 64))));
+  }
+  for (const std::string& text : spellings) {
+    EXPECT_EQ(ParseInt64(text), StrtollReference(text)) << "'" << text << "'";
+  }
+}
+
+TEST(ConfigNumbersTest, ParseDoubleMatchesStrtod) {
+  std::vector<std::string> spellings = {
+      "0", "-0", "0.5", ".5", "5.", "-.5", "+0.5", " 0.5", "0.5 ", "1e", "1e+",
+      "1e5", "1E-5", "0x1p-2", "0X1P3", "inf", "-Infinity", "nan", "NAN(12)",
+      "1e999", "-1e999", "1e-400", "4.9406564584124654e-324",
+      "2.2250738585072014e-308", "2.2250738585072009e-308",
+      "1.7976931348623157e308", "1.7976931348623159e308", "", " ", "abc",
+      "1,5", "0.1.2", "--1", "00012", "1e0001", std::string("5\0x", 3),
+      "0." + std::string(100, '3'), std::string(400, '9')};
+  Rng rng(5678);
+  for (int i = 0; i < 3000; ++i) {
+    uint64_t bits = rng.NextUint64();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    std::string text;
+    AppendDouble(i % 2 == 0 ? value : rng.NextDouble(), &text);
+    spellings.push_back(text);
+  }
+  for (const std::string& text : spellings) {
+    const std::optional<double> got = ParseDouble(text);
+    const std::optional<double> want = StrtodReference(text);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "'" << text << "'";
+    if (got) {
+      EXPECT_TRUE(SameDouble(*got, *want)) << "'" << text << "'";
+    }
+  }
 }
 
 }  // namespace

@@ -244,6 +244,21 @@ TEST(ServiceProtocol, PercentEncodingPreservesHostileStrings) {
   EXPECT_EQ(std::get<ErrorReply>(parsed.ValueOrDie()).message, error.message);
 }
 
+TEST(ServiceProtocol, PercentEncodingKeepsEveryTrimmedByte) {
+  // ConfigMap trims all six "C" whitespace bytes from a value's ends; each
+  // must survive a text field's round trip, not only space and tab.
+  ErrorReply error;
+  error.code = "Internal";
+  error.message = "\v\f\t mid\v\t \f";
+  const std::string bytes = SerializeResponse(error);
+  EXPECT_NE(bytes.find("message = %0B%0C%09%20mid%0B%09%20%0C\n"),
+            std::string::npos)
+      << bytes;
+  const Result<Response> parsed = ParseResponse(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(std::get<ErrorReply>(parsed.ValueOrDie()).message, error.message);
+}
+
 TEST(ServiceProtocol, RejectsUnknownKeysVersionsAndTypes) {
   GetEstimate request;
   request.session = 1;
@@ -298,6 +313,31 @@ TEST(ServiceProtocol, RejectsUnknownKeysVersionsAndTypes) {
                              "budgets = 10,20\n"
                              "f_alpha = 0.5\n"
                              "f_defined = 1,1\n")
+                   .ok());
+
+  // Out-of-range numbers: a list item is rejected exactly like the same text
+  // in a scalar field (one integer parser, one double parser).
+  EXPECT_FALSE(ParseRequest("oasis_service_protocol = 1\n"
+                            "type = get_estimate\n"
+                            "session = 99999999999999999999\n")
+                   .ok());
+  EXPECT_FALSE(ParseResponse("oasis_service_protocol = 1\n"
+                             "type = checkpoint_ack\n"
+                             "session = 1\n"
+                             "budgets = 99999999999999999999\n"
+                             "f_alpha = 0.5\n"
+                             "f_defined = 1\n")
+                   .ok());
+  EXPECT_FALSE(ParseResponse("oasis_service_protocol = 1\n"
+                             "type = estimate_reply\n"
+                             "f_alpha = 1e999\n")
+                   .ok());
+  EXPECT_FALSE(ParseResponse("oasis_service_protocol = 1\n"
+                             "type = checkpoint_ack\n"
+                             "session = 1\n"
+                             "budgets = 10\n"
+                             "f_alpha = 1e999\n"
+                             "f_defined = 1\n")
                    .ok());
 }
 
