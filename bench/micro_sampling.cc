@@ -1,7 +1,7 @@
 // google-benchmark micro-benches for the sampling hot paths: alias-table vs
 // linear-scan discrete draws (the Table 3 cost asymmetry at its core), the
 // per-iteration cost of each sampler as a function of K and N, the fused
-// zero-allocation OASIS step against the Fenwick and alias step paths, the
+// zero-allocation OASIS step against the Fenwick step path, the
 // per-repeat label-cache cost, and CSF stratification construction cost.
 //
 // Besides the console output, every run writes a machine-readable
@@ -230,7 +230,7 @@ BENCHMARK(BM_OasisStep)
 /// One OASIS iteration through the Fenwick-tree path: O(log K) draw +
 /// single-stratum update, with O(K) mass rebuilds only on F-hat drift. The
 /// point of comparison for BM_OasisStep (fused O(K)) as K grows; the 100k and
-/// 1M rows are the pool-scale tier, raced against BM_OasisStepAlias.
+/// 1M rows are the pool-scale tier.
 void BM_OasisStepFenwick(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   OasisOptions options;
@@ -248,33 +248,6 @@ BENCHMARK(BM_OasisStepFenwick)
     ->Arg(10)
     ->Arg(30)
     ->Arg(60)
-    ->Arg(120)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(1000000);
-
-/// One OASIS iteration through the alias path: O(1) draws from a frozen
-/// Walker/Vose snapshot, O(K) in-place rebuilds when the drift gate fires.
-/// The other contender of the pool-scale race — at K >= 100k the rebuild
-/// amortisation decides the winner, which is why the large rows share
-/// BM_OasisStepFenwick's fixture exactly.
-void BM_OasisStepAlias(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  OasisOptions options;
-  options.step_path = OasisStepPath::kAlias;
-  StepBenchContext ctx = MakeStepBench(k, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.sampler->Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["K"] =
-      static_cast<double>(ctx.sampler->strata().num_strata());
-  state.SetLabel("K=" + std::to_string(ctx.sampler->strata().num_strata()));
-}
-BENCHMARK(BM_OasisStepAlias)
-    ->Arg(10)
-    ->Arg(30)
     ->Arg(120)
     ->Arg(1000)
     ->Arg(10000)

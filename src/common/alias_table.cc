@@ -7,7 +7,16 @@
 
 namespace oasis {
 
-Status AliasTable::BuildInto(std::span<const double> weights) {
+Result<AliasTable> AliasTable::Build(std::span<const double> weights) {
+  if (weights.empty()) {
+    return Status::InvalidArgument("AliasTable: empty weight vector");
+  }
+  if (weights.size() > std::numeric_limits<uint32_t>::max()) {
+    // The alias slots are uint32_t; beyond 2^32 - 1 categories the stored
+    // indices would silently wrap. Reject explicitly.
+    return Status::InvalidArgument(
+        "AliasTable: too many categories for uint32_t alias slots");
+  }
   double total = 0.0;
   for (double w : weights) {
     if (std::isnan(w) || w < 0.0) {
@@ -20,27 +29,28 @@ Status AliasTable::BuildInto(std::span<const double> weights) {
   }
 
   const size_t n = weights.size();
+  AliasTable table;
+  table.prob_.assign(n, 0.0);
+  table.alias_.assign(n, 0);
+  table.normalized_.resize(n);
   // Vose's algorithm: partition scaled probabilities into small/large work
-  // lists and pair each small slot with a large donor. The worklists only
-  // ever shrink-and-grow within capacity n, so a Rebuild on retained
-  // scratch performs no heap allocation.
-  std::vector<double>& scaled = scaled_scratch_;
-  std::vector<uint32_t>& small = small_scratch_;
-  std::vector<uint32_t>& large = large_scratch_;
-  small.clear();
-  large.clear();
+  // lists and pair each small slot with a large donor.
+  std::vector<double> scaled(n);
+  std::vector<uint32_t> small;
+  std::vector<uint32_t> large;
+  small.reserve(n);
+  large.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    normalized_[i] = weights[i] / total;
-    scaled[i] = normalized_[i] * static_cast<double>(n);
-    alias_[i] = 0;
+    table.normalized_[i] = weights[i] / total;
+    scaled[i] = table.normalized_[i] * static_cast<double>(n);
     (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
   }
   while (!small.empty() && !large.empty()) {
     const uint32_t s = small.back();
     small.pop_back();
     const uint32_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    table.prob_[s] = scaled[s];
+    table.alias_[s] = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     if (scaled[l] < 1.0) {
       large.pop_back();
@@ -48,39 +58,9 @@ Status AliasTable::BuildInto(std::span<const double> weights) {
     }
   }
   // Remaining slots are (numerically) exactly 1.
-  for (uint32_t l : large) prob_[l] = 1.0;
-  for (uint32_t s : small) prob_[s] = 1.0;
-  return Status::OK();
-}
-
-Result<AliasTable> AliasTable::Build(std::span<const double> weights) {
-  if (weights.empty()) {
-    return Status::InvalidArgument("AliasTable: empty weight vector");
-  }
-  if (weights.size() > std::numeric_limits<uint32_t>::max()) {
-    // The alias slots are uint32_t; beyond 2^32 - 1 categories the stored
-    // indices would silently wrap. Reject explicitly.
-    return Status::InvalidArgument(
-        "AliasTable: too many categories for uint32_t alias slots");
-  }
-  const size_t n = weights.size();
-  AliasTable table;
-  table.prob_.assign(n, 0.0);
-  table.alias_.assign(n, 0);
-  table.normalized_.resize(n);
-  table.scaled_scratch_.resize(n);
-  table.small_scratch_.reserve(n);
-  table.large_scratch_.reserve(n);
-  OASIS_RETURN_NOT_OK(table.BuildInto(weights));
+  for (uint32_t l : large) table.prob_[l] = 1.0;
+  for (uint32_t s : small) table.prob_[s] = 1.0;
   return table;
-}
-
-Status AliasTable::Rebuild(std::span<const double> weights) {
-  if (weights.size() != prob_.size() || prob_.empty()) {
-    return Status::InvalidArgument(
-        "AliasTable: Rebuild size mismatch (build the table first)");
-  }
-  return BuildInto(weights);
 }
 
 size_t AliasTable::Sample(Rng& rng) const {

@@ -22,9 +22,7 @@ namespace oasis {
 /// linear-scan draw this table replaces (`bench/table3_runtime.cc`
 /// reproduces that shape with both backends). For distributions whose
 /// weights change between draws, see the dynamic sibling FenwickTree
-/// (O(log n) update/draw vs the O(n) rebuild an alias table would need) —
-/// or, when drifts are rare enough to amortise, Rebuild() below refreshes
-/// this table in place without allocating (the OASIS kAlias step path).
+/// (O(log n) update/draw vs the O(n) rebuild an alias table would need).
 ///
 /// Capacity: alias slots are stored as uint32_t, so a table holds at most
 /// 2^32 - 1 categories; Build rejects larger inputs explicitly rather than
@@ -37,13 +35,6 @@ class AliasTable {
   /// InvalidArgument when weights are empty, contain a negative/NaN entry,
   /// sum to zero, or exceed the uint32_t category capacity.
   static Result<AliasTable> Build(std::span<const double> weights);
-
-  /// Refreshes the table over new weights of the SAME size, reusing every
-  /// internal buffer — zero heap allocations once built (the property the
-  /// OASIS kAlias step path's rebuild-on-drift loop depends on; pinned by
-  /// tests/alias_step_path_test.cc). Same validity rules as Build. On error
-  /// the table contents are unspecified and must be rebuilt before sampling.
-  Status Rebuild(std::span<const double> weights);
 
   /// Draws an index in O(1) (two uniform deviates). The table must have been
   /// built (size() > 0).
@@ -59,18 +50,9 @@ class AliasTable {
   double probability(size_t i) const { return normalized_[i]; }
 
  private:
-  /// Shared Vose construction over pre-sized buffers (Build sizes them,
-  /// Rebuild reuses them).
-  Status BuildInto(std::span<const double> weights);
-
   std::vector<double> prob_;      // Acceptance probability per slot.
   std::vector<uint32_t> alias_;   // Alias target per slot.
   std::vector<double> normalized_;
-  // Vose worklist scratch, retained across Rebuild calls so the refresh
-  // never allocates.
-  std::vector<double> scaled_scratch_;
-  std::vector<uint32_t> small_scratch_;
-  std::vector<uint32_t> large_scratch_;
 };
 
 }  // namespace oasis

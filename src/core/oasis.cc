@@ -149,9 +149,6 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
     case OasisStepPath::kFenwick:
       OASIS_RETURN_NOT_OK(sampler->InitFenwick());
       break;
-    case OasisStepPath::kAlias:
-      OASIS_RETURN_NOT_OK(sampler->InitAlias());
-      break;
     case OasisStepPath::kFused:
       break;
   }
@@ -268,118 +265,6 @@ Status OasisSampler::StepFenwick() {
   // build-point F.
   ObserveLabel(k, label);
   v_star_tree_.Update(k, StratumMass(k, tree_f_));
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  MaybeDegrade();
-  return Status::OK();
-}
-
-double OasisSampler::AliasMixtureProbability(size_t k) const {
-  const double omega_k = strata_->weight(k);
-  return alias_degenerate_
-             ? omega_k
-             : active_epsilon_ * omega_k +
-                   (1.0 - active_epsilon_) * v_alias_.probability(k);
-}
-
-void OasisSampler::RebuildAliasMasses(double f) {
-  const size_t num_strata = strata_->num_strata();
-  const double a2f2 = setup_->alpha_sq * f * f;
-  const double omf2 = (1.0 - f) * (1.0 - f);
-  StratumMassKernel(strata_->weights().data(), setup_->lambda.data(), pi_cache_.data(),
-                    sqrt_pi_cache_.data(), setup_->c_not_pred.data(), f, a2f2, omf2,
-                    alias_snapshot_mass_.data(), num_strata);
-  double total = 0.0;
-  for (size_t k = 0; k < num_strata; ++k) {
-    total += alias_snapshot_mass_[k];
-  }
-  alias_total_ = total;
-  alias_degenerate_ = !(total > 0.0);
-  if (!alias_degenerate_) {
-    // In-place Vose refresh over the retained buffers — no allocation.
-    OASIS_CHECK_OK(v_alias_.Rebuild(alias_snapshot_mass_));
-  }
-  std::copy(alias_snapshot_mass_.begin(), alias_snapshot_mass_.end(),
-            alias_live_mass_.begin());
-  alias_drift_ = 0.0;
-  alias_f_ = f;
-}
-
-Status OasisSampler::InitAlias() {
-  OASIS_ASSIGN_OR_RETURN(weights_alias_, AliasTable::Build(strata_->weights()));
-  // Build once over the (always valid) stratum weights purely to size the
-  // table's internal buffers; RebuildAliasMasses installs the real masses in
-  // place immediately after.
-  OASIS_ASSIGN_OR_RETURN(v_alias_, AliasTable::Build(strata_->weights()));
-  const size_t num_strata = strata_->num_strata();
-  alias_snapshot_mass_.resize(num_strata);
-  alias_live_mass_.resize(num_strata);
-  RebuildAliasMasses(Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0));
-  return Status::OK();
-}
-
-Status OasisSampler::StepAlias() {
-  // Line 3 analogue: the alias table is a frozen snapshot of v*, so two
-  // things drift — F-hat away from the build point, and the posterior masses
-  // away from the snapshot (the table cannot absorb kFenwick's per-stratum
-  // point updates). Rebuild in place (O(K), no allocation) when EITHER drift
-  // crosses fenwick_rebuild_tol; in the degenerate all-zero state, rebuild as
-  // soon as any mass becomes positive.
-  const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0);
-  const double f_drift = std::fabs(f - alias_f_);
-  const bool mass_drifted =
-      alias_degenerate_
-          ? alias_drift_ > 0.0
-          : alias_drift_ > options_.fenwick_rebuild_tol * alias_total_;
-  if (f_drift > options_.fenwick_rebuild_tol || mass_drifted) {
-    if (OASIS_TELEMETRY_ON) {
-      static telemetry::Counter& rebuilds =
-          telemetry::DefaultRegistry().AddCounter(
-              "oasis_sampler_alias_rebuilds_total",
-              "Full O(K) alias-table rebuilds triggered by F-hat or "
-              "posterior-mass drift.");
-      static telemetry::Histogram& drift_hist =
-          telemetry::DefaultRegistry().AddHistogram(
-              "oasis_sampler_alias_rebuild_drift",
-              "|F-hat - alias F| observed at each alias rebuild.",
-              {1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25});
-      rebuilds.Increment();
-      drift_hist.Observe(f_drift);
-    }
-    RebuildAliasMasses(f);
-  }
-
-  // Lines 4-5: the epsilon-greedy mix as a two-component mixture, both
-  // components O(1) alias draws — with probability epsilon a stratum ~ omega,
-  // otherwise ~ the v* snapshot — then an item uniform within the stratum.
-  size_t k;
-  if (alias_degenerate_ || rng().NextDouble() < active_epsilon_) {
-    k = weights_alias_.Sample(rng());
-  } else {
-    k = v_alias_.Sample(rng());
-  }
-  const int64_t item = strata_->SampleItem(k, rng());
-
-  // Line 6: w_t = omega_k / v_k with v_k of the distribution the draw above
-  // actually used — consistency holds at any staleness because the epsilon
-  // component keeps full support.
-  const double weight = strata_->weight(k) / AliasMixtureProbability(k);
-
-  // Lines 7-8: query oracle, read prediction.
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-
-  // Lines 9-11: posterior update and AIS sums, plus O(1) maintenance of the
-  // L1 drift between the live masses and the frozen snapshot — only stratum
-  // k's posterior mean (and hence its mass under the build-point F) moved.
-  ObserveLabel(k, label);
-  const double new_live = StratumMass(k, alias_f_);
-  alias_drift_ += std::fabs(new_live - alias_snapshot_mass_[k]) -
-                  std::fabs(alias_live_mass_[k] - alias_snapshot_mass_[k]);
-  if (alias_drift_ < 0.0) alias_drift_ = 0.0;  // FP cancellation guard.
-  alias_live_mass_[k] = new_live;
   estimator_.Add(weight, label, prediction);
   if (observer_) observer_(weight, label, prediction);
   monitor_.Observe(weight);
@@ -583,8 +468,6 @@ Status OasisSampler::Step() {
   switch (options_.step_path) {
     case OasisStepPath::kFenwick:
       return StepFenwick();
-    case OasisStepPath::kAlias:
-      return StepAlias();
     case OasisStepPath::kFused:
       break;
   }
@@ -617,11 +500,6 @@ Status OasisSampler::StepBatch(int64_t n) {
         OASIS_RETURN_NOT_OK(StepFenwick());
       }
       return Status::OK();
-    case OasisStepPath::kAlias:
-      for (int64_t i = 0; i < n; ++i) {
-        OASIS_RETURN_NOT_OK(StepAlias());
-      }
-      return Status::OK();
     case OasisStepPath::kFused:
       break;
   }
@@ -647,19 +525,6 @@ Result<std::vector<double>> OasisSampler::FenwickInstrumental() const {
   std::vector<double> v(num_strata);
   for (size_t k = 0; k < num_strata; ++k) {
     v[k] = FenwickMixtureProbability(k, total);
-  }
-  return v;
-}
-
-Result<std::vector<double>> OasisSampler::AliasInstrumental() const {
-  if (options_.step_path != OasisStepPath::kAlias) {
-    return Status::FailedPrecondition(
-        "AliasInstrumental: sampler does not run the kAlias step path");
-  }
-  const size_t num_strata = strata_->num_strata();
-  std::vector<double> v(num_strata);
-  for (size_t k = 0; k < num_strata; ++k) {
-    v[k] = AliasMixtureProbability(k);
   }
   return v;
 }

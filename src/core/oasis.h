@@ -22,12 +22,11 @@ namespace oasis {
 /// estimator of the same quantities; they differ in speed and in how stale
 /// an instrumental distribution they tolerate. kFused is the bit-exact default
 /// (paper Algorithm 3; tests/reference_oasis.h holds the allocating
-/// reference it is checked against step for step). kFenwick and kAlias let
-/// the instrumental go stale up to a configurable F-staleness tolerance and
-/// consume the RNG differently, so they are equivalent in distribution rather
-/// than bit-for-bit (tests/fenwick_step_path_test.cc and
-/// tests/alias_step_path_test.cc verify the distributional match and
-/// estimator consistency).
+/// reference it is checked against step for step). kFenwick lets the
+/// instrumental go stale up to a configurable F-staleness tolerance and
+/// consumes the RNG differently, so it is equivalent in distribution rather
+/// than bit-for-bit (tests/fenwick_step_path_test.cc verifies the
+/// distributional match and estimator consistency).
 enum class OasisStepPath {
   /// Zero-allocation fused O(K) step over precomputed per-stratum constants
   /// and incrementally-maintained posterior means, v* masses and mass
@@ -46,21 +45,6 @@ enum class OasisStepPath {
   /// the amortised per-step cost is O(log K) — the path to prefer when K is
   /// large (roughly K >= 1000; see docs/ARCHITECTURE.md).
   kFenwick,
-  /// O(1) draws: a Walker/Vose alias table over the unnormalised v* masses,
-  /// rebuilt in place (O(K), zero allocation) only when the instrumental has
-  /// drifted — either F-hat moved more than fenwick_rebuild_tol since the
-  /// table was built, or the accumulated L1 posterior-mass drift across
-  /// observed strata exceeds that same fraction of the table's total mass.
-  /// Between rebuilds the table is a frozen snapshot, so unlike kFenwick the
-  /// observed stratum's own mass also goes stale — the dual drift gate bounds
-  /// both sources. Estimates stay consistent at ANY tolerance (importance
-  /// weights use the mixture actually sampled, full support via the epsilon
-  /// mix); the tolerance only prices staleness of the instrumental
-  /// (variance). Distribution-equivalent to kFused/kFenwick, not bit-equal
-  /// (tests/alias_step_path_test.cc). Prefer at very large K (roughly
-  /// K >= 100k) where even O(log K) per draw shows up; see
-  /// docs/BENCHMARKING.md for the Fenwick-vs-alias race.
-  kAlias,
 };
 
 /// Tunables of Algorithm 3. Defaults follow the paper's experiments
@@ -78,19 +62,16 @@ struct OasisOptions {
   bool decay_prior = true;
   /// Hot-path selection; see OasisStepPath.
   OasisStepPath step_path = OasisStepPath::kFused;
-  /// Drift gate of both rebuild-on-drift paths (kFenwick, kAlias): how far
-  /// |F-hat| may drift from the value the maintained masses were computed
-  /// with before a full O(K) rebuild is forced. For kAlias the same
-  /// tolerance additionally gates the accumulated L1 posterior-mass
-  /// drift (as a fraction of the table's total mass), since the alias
-  /// snapshot cannot absorb single-stratum updates. 0 means rebuild whenever
-  /// anything changed at all (the exact v(t) at O(K) on almost every early
-  /// step); larger values trade a bounded staleness of the instrumental for
-  /// cheap steps. Estimates stay consistent for ANY tolerance because
-  /// importance weights always use the distribution actually sampled from,
-  /// which keeps full support via the epsilon mix — the tolerance only
-  /// affects how close the instrumental is to the optimum (variance), never
-  /// correctness. Must be finite and >= 0.
+  /// Drift gate of the kFenwick step path: how far |F-hat| may drift from
+  /// the value the maintained masses were computed with before a full O(K)
+  /// rebuild is forced. 0 means rebuild whenever anything changed at all
+  /// (the exact v(t) at O(K) on almost every early step); larger values
+  /// trade a bounded staleness of the instrumental for cheap steps.
+  /// Estimates stay consistent for ANY tolerance because importance weights
+  /// always use the distribution actually sampled from, which keeps full
+  /// support via the epsilon mix — the tolerance only affects how close the
+  /// instrumental is to the optimum (variance), never correctness. Must be
+  /// finite and >= 0.
   double fenwick_rebuild_tol = 1e-2;
   /// Thresholds of the always-on importance-weight health monitor (see
   /// DegeneracyMonitor; diagnostics are collected regardless of
@@ -232,14 +213,6 @@ class OasisSampler : public Sampler {
   /// CurrentInstrumental().
   Result<std::vector<double>> FenwickInstrumental() const;
 
-  /// kAlias only: the distribution the next alias draw would actually use,
-  /// i.e. epsilon * omega + (1 - epsilon) * alias-table probabilities — the
-  /// frozen snapshot from the last rebuild, before any rebuild the next step
-  /// might trigger. Fails when the sampler does not run the kAlias path.
-  /// Used by the equivalence tests to bound the staleness gap against
-  /// CurrentInstrumental().
-  Result<std::vector<double>> AliasInstrumental() const;
-
   /// Read access to the stratified beta posterior (diagnostics/tests: e.g.
   /// per-stratum visit counts via labels_observed()).
   const StratifiedBetaModel& model() const { return model_; }
@@ -293,8 +266,6 @@ class OasisSampler : public Sampler {
   double FusedMixtureProbability(size_t k, double total) const;
   /// The O(log K) Fenwick-tree iteration (OasisStepPath::kFenwick).
   Status StepFenwick();
-  /// The O(1) alias-table iteration (OasisStepPath::kAlias).
-  Status StepAlias();
   /// The degraded-mode iteration: draw from the frozen instrumental
   /// distribution, weight against it (full support — consistency holds),
   /// keep posterior and diagnostics updating.
@@ -308,9 +279,6 @@ class OasisSampler : public Sampler {
   /// One-time kFenwick setup: the weights alias table and the initial mass
   /// build. Called from Create() so construction can still fail cleanly.
   Status InitFenwick();
-  /// One-time kAlias setup: the weights alias table, the mass scratch and
-  /// the initial v* alias table. Called from Create().
-  Status InitAlias();
   /// Unnormalised v* mass of stratum k under F estimate `f`, with exactly the
   /// factor grouping of the fused scan.
   double StratumMass(size_t k, double f) const;
@@ -322,15 +290,6 @@ class OasisSampler : public Sampler {
   /// Recomputes every Fenwick mass under `f` in O(K) (no allocation) and
   /// records `f` as the build point for the drift check.
   void RebuildFenwickMasses(double f);
-  /// Probability of stratum k under the epsilon-greedy mixture the alias
-  /// draw actually samples from (alias_degenerate_ selects the omega
-  /// fallback). Single source of truth shared by StepAlias's importance
-  /// weight and AliasInstrumental.
-  double AliasMixtureProbability(size_t k) const;
-  /// Recomputes every alias mass under `f` in O(K) (no allocation once
-  /// built), refreshes the v* alias table in place and resets the drift
-  /// accumulators.
-  void RebuildAliasMasses(double f);
   /// Records the label in the beta posterior and refreshes the incremental
   /// caches for the observed stratum (the only one whose mean can change).
   void ObserveLabel(size_t stratum, bool label);
@@ -390,25 +349,6 @@ class OasisSampler : public Sampler {
   AliasTable weights_alias_;
   // F-hat the Fenwick masses were last (re)built with; < 0 until InitFenwick.
   double tree_f_ = -1.0;
-  // --- Alias-path state --------------------------------------------------
-  // Frozen O(1) sampler over the unnormalised v* masses; rebuilt in place on
-  // drift. Empty unless step_path == kAlias.
-  AliasTable v_alias_;
-  // The masses the table was built from (the snapshot the drift accumulator
-  // measures against) and the live masses as they evolve with the posterior.
-  // alias_live_mass_ is maintained incrementally: ObserveLabel-adjacent code
-  // refreshes only the observed stratum.
-  std::vector<double> alias_snapshot_mass_;
-  std::vector<double> alias_live_mass_;
-  // F-hat the alias masses were last (re)built with; < 0 until InitAlias.
-  double alias_f_ = -1.0;
-  // Total snapshot mass and accumulated L1 drift |live - snapshot| across
-  // strata, maintained in O(1) per step:
-  //   drift += |new_live_k - snap_k| - |old_live_k - snap_k|.
-  double alias_total_ = 0.0;
-  double alias_drift_ = 0.0;
-  // True when the last rebuild found all-zero masses (the omega fallback).
-  bool alias_degenerate_ = false;
 };
 
 }  // namespace oasis

@@ -1,6 +1,7 @@
 #include "experiments/convergence.h"
 
 #include <cmath>
+#include <string>
 
 #include "core/instrumental.h"
 #include "stats/kl_divergence.h"
@@ -53,6 +54,15 @@ Result<ConvergenceTrace> TraceOasisConvergence(OasisSampler& sampler,
     trace.v_abs_error.push_back(MeanAbsoluteDifference(v_now, v_star));
     trace.kl_divergence.push_back(kl);
     next_checkpoint += checkpoint_every;
+  }
+  if (sampler.labels_consumed() < budget) {
+    // A short trace would pass for a complete one; e.g. a budget above the
+    // pool size under a deterministic oracle runs out of fresh labels.
+    return Status::OutOfRange(
+        "TraceOasisConvergence: iteration cap of " +
+        std::to_string(max_iterations) + " reached after " +
+        std::to_string(sampler.labels_consumed()) + " of " +
+        std::to_string(budget) + " labels");
   }
   return trace;
 }

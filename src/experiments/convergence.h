@@ -29,7 +29,8 @@ struct ConvergenceTrace {
 /// every `checkpoint_every` labels. `truth` is the per-item ground truth
 /// (one 0/1 entry per pool item) from which the true per-stratum pi and the
 /// true optimal instrumental distribution v* are computed; `true_f` is the
-/// pool-level F-measure.
+/// pool-level F-measure. Fails with OutOfRange, naming the labels reached,
+/// when an internal cap of 50 * budget + 100000 iterations fires first.
 Result<ConvergenceTrace> TraceOasisConvergence(OasisSampler& sampler,
                                                std::span<const uint8_t> truth,
                                                double true_f, int64_t budget,

@@ -21,9 +21,8 @@ namespace {
 Result<OasisStepPath> StepPathFromName(const std::string& name) {
   if (name == "fused") return OasisStepPath::kFused;
   if (name == "fenwick") return OasisStepPath::kFenwick;
-  if (name == "alias") return OasisStepPath::kAlias;
   return Status::InvalidArgument("unknown step_path '" + name +
-                                 "' (expected fused, fenwick, or alias)");
+                                 "' (expected fused or fenwick)");
 }
 
 }  // namespace

@@ -33,10 +33,10 @@ struct ScenarioRunOptions {
   int num_threads = 0;
   /// Target stratum count for the stratified/oasis methods (CSF).
   int64_t target_strata = 30;
-  /// OASIS step path ("oasis" method only): "fused" (default), "fenwick",
-  /// or "alias". The sub-linear paths ("fenwick", "alias") are the practical
-  /// choice for pool-scale runs (target_strata >= 100k); all paths estimate
-  /// the same quantities (see OasisStepPath).
+  /// OASIS step path ("oasis" method only): "fused" (default) or
+  /// "fenwick". The sub-linear "fenwick" path is the practical choice for
+  /// pool-scale runs (target_strata >= 100k); both paths estimate the same
+  /// quantities (see OasisStepPath).
   std::string step_path = "fused";
   /// Oracle decorator stack built per repeat over the scenario oracle (see
   /// RunnerOptions::stack); empty = label straight against the base oracle.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "oracle/ground_truth_oracle.h"
 #include "strata/csf.h"
@@ -27,6 +28,31 @@ TEST(ConvergenceTest, RejectsBadArguments) {
   EXPECT_FALSE(TraceOasisConvergence(*sampler, pool.truth, 0.5, 100, 0).ok());
   const std::vector<uint8_t> short_truth{1, 0};
   EXPECT_FALSE(TraceOasisConvergence(*sampler, short_truth, 0.5, 100, 10).ok());
+}
+
+TEST(ConvergenceTest, BudgetBeyondThePoolFailsInsteadOfTruncating) {
+  // A ground-truth oracle charges each item once, so a 200-item pool can
+  // never yield 500 labels: the iteration cap fires, and the trace must not
+  // pass for a complete one.
+  SyntheticPoolOptions options;
+  options.size = 200;
+  options.match_fraction = 0.1;
+  options.seed = 207;
+  SyntheticPool pool = MakeSyntheticPool(options);
+  GroundTruthOracle oracle(pool.truth);
+  LabelCache labels(&oracle);
+  auto sampler = OasisSampler::CreateWithCsf(&pool.scored, &labels, 10,
+                                             OasisOptions{}, Rng(9))
+                     .ValueOrDie();
+  const Result<ConvergenceTrace> trace = TraceOasisConvergence(
+      *sampler, pool.truth, pool.true_measures.f_alpha, 500, 50);
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kOutOfRange);
+  EXPECT_LE(labels.labels_consumed(), 200);
+  const std::string reached =
+      "after " + std::to_string(labels.labels_consumed()) + " of 500 labels";
+  EXPECT_NE(trace.status().message().find(reached), std::string::npos)
+      << trace.status().message();
 }
 
 TEST(ConvergenceTest, TraceShapesAndMonotoneBudgets) {

@@ -194,28 +194,23 @@ ScenarioRunResult RunPoolScale(const std::string& scenario,
   return RunScenario(pool, options).ValueOrDie();
 }
 
-TEST(ScenarioVerifyTest, PoolScaleSweepPassesEveryCheckOnBothSubLinearPaths) {
+TEST(ScenarioVerifyTest, PoolScaleSweepPassesEveryCheckOnTheSubLinearPath) {
   // K = 100k catalogue sweep: with four items per stratum and budget << K
   // the epsilon mix carries consistency, and the full verification battery
   // (including CI coverage and error decay) must still come out green for
-  // both sub-linear step paths.
+  // the sub-linear kFenwick step path.
   for (const char* scenario : {"stripe-f90", "imbalance-1e3"}) {
-    for (const char* step_path : {"fenwick", "alias"}) {
-      const ScenarioRunResult result =
-          RunPoolScale(scenario, step_path, 6000, 20);
-      const VerifyReport report =
-          VerifyRun(result.summary, &result.curve, VerifyOptions{})
-              .ValueOrDie();
-      EXPECT_TRUE(report.passed)
-          << scenario << "/" << step_path << "\n" << report.Render();
-      for (const char* name :
-           {"aggregate-consistency", "estimate-defined", "estimate-tolerance",
-            "ci-coverage", "error-decay", "degeneracy-flag"}) {
-        const VerifyCheck* check = FindCheck(report, name);
-        ASSERT_NE(check, nullptr) << scenario << "/" << step_path << " " << name;
-        EXPECT_TRUE(check->passed) << scenario << "/" << step_path << " "
-                                   << check->name << ": " << check->detail;
-      }
+    const ScenarioRunResult result = RunPoolScale(scenario, "fenwick", 6000, 20);
+    const VerifyReport report =
+        VerifyRun(result.summary, &result.curve, VerifyOptions{}).ValueOrDie();
+    EXPECT_TRUE(report.passed) << scenario << "\n" << report.Render();
+    for (const char* name :
+         {"aggregate-consistency", "estimate-defined", "estimate-tolerance",
+          "ci-coverage", "error-decay", "degeneracy-flag"}) {
+      const VerifyCheck* check = FindCheck(report, name);
+      ASSERT_NE(check, nullptr) << scenario << " " << name;
+      EXPECT_TRUE(check->passed)
+          << scenario << " " << check->name << ": " << check->detail;
     }
   }
 }
@@ -229,7 +224,7 @@ TEST(ScenarioVerifyTest, PoolScaleAdaptiveRunOnTheBreakerIsRejected) {
   // misconfiguration: pool-scale K needs a budget to match, or a coarser
   // stratification (the K = 30 runs on this same preset pass).
   const ScenarioRunResult result =
-      RunPoolScale("sis-inversion", "alias", 2500, 5);
+      RunPoolScale("sis-inversion", "fenwick", 2500, 5);
   ASSERT_TRUE(result.summary.degeneracy_monitored);
   EXPECT_TRUE(result.summary.degeneracy_tripped)
       << "ess_fraction=" << result.summary.final_ess_fraction;
@@ -243,16 +238,17 @@ TEST(ScenarioVerifyTest, PoolScaleAdaptiveRunOnTheBreakerIsRejected) {
 
 TEST(ScenarioVerifyTest, UnknownStepPathIsRejectedByValidation) {
   ScenarioRunOptions options;
-  for (const char* rejected : {"treap", "sharded-fenwick", "reference"}) {
+  for (const char* rejected :
+       {"treap", "sharded-fenwick", "alias", "reference"}) {
     options.step_path = rejected;
     const Status status = options.Validate();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << rejected;
     // The error names every accepted path.
-    EXPECT_NE(status.message().find("fused, fenwick, or alias"),
+    EXPECT_NE(status.message().find("expected fused or fenwick"),
               std::string::npos)
         << status.message();
   }
-  for (const char* accepted : {"fused", "fenwick", "alias"}) {
+  for (const char* accepted : {"fused", "fenwick"}) {
     options.step_path = accepted;
     EXPECT_TRUE(options.Validate().ok()) << accepted;
   }
