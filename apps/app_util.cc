@@ -60,9 +60,18 @@ Status TelemetrySession::Finish() {
         telemetry::MetricsJson(telemetry::DefaultRegistry())));
   }
   if (!flags_.trace_out.empty()) {
+    const telemetry::TraceCollector& collector =
+        telemetry::DefaultTraceCollector();
     OASIS_RETURN_NOT_OK(telemetry::WriteTextFile(
-        flags_.trace_out,
-        telemetry::TraceJson(telemetry::DefaultTraceCollector())));
+        flags_.trace_out, telemetry::TraceJson(collector)));
+    if (collector.dropped() > 0) {
+      std::fprintf(stderr,
+                   "warning: trace truncated: %lld spans dropped at the "
+                   "%zu-span cap; %s holds only the first ones\n",
+                   static_cast<long long>(collector.dropped()),
+                   telemetry::TraceCollector::kDefaultCapacity,
+                   flags_.trace_out.c_str());
+    }
   }
   return Status::OK();
 }

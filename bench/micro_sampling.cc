@@ -627,14 +627,20 @@ BENCHMARK(BM_LabelCacheRepeat)->Arg(20000)->Arg(400000);
 /// The gap between rows 0 and 1/2 is the whole price of enabling telemetry;
 /// main() derives `telemetry_overhead_pct` from it, and CI gates the enabled
 /// overhead at <= 2% (compiled out entirely under -DOASIS_TELEMETRY=OFF).
+/// The threads:4 rows run one sampler per thread, all bumping the same
+/// process-wide counters — the shape of a 4-worker RunErrorCurve — and are
+/// gated against their own 4-thread off row.
 void BM_TelemetryOverhead(benchmark::State& state) {
   const int64_t mode = state.range(0);
   static BenchPool* pool = new BenchPool(MakePool(100000));
   GroundTruthOracle oracle(pool->truth);
   LabelCache labels(&oracle);
-  auto sampler = OasisSampler::CreateWithCsf(&pool->scored, &labels, 1000,
-                                             OasisOptions{}, Rng(4))
+  auto sampler = OasisSampler::CreateWithCsf(
+                     &pool->scored, &labels, 1000, OasisOptions{},
+                     Rng(4 + static_cast<uint64_t>(state.thread_index())))
                      .ValueOrDie();
+  // Every thread sets the same value before the start barrier of the timed
+  // loop and resets it after the stop barrier.
   telemetry::SetEnabled(mode >= 1);
   telemetry::SetDetailEnabled(mode >= 2);
   for (auto _ : state) {
@@ -643,12 +649,14 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   telemetry::SetEnabled(false);
   telemetry::SetDetailEnabled(false);
   state.SetItemsProcessed(state.iterations());
-  state.counters["telemetry_mode"] = static_cast<double>(mode);
+  state.counters["telemetry_mode"] = benchmark::Counter(
+      static_cast<double>(mode), benchmark::Counter::kAvgThreads);
   state.SetLabel(mode == 0   ? "off"
                  : mode == 1 ? "on"
                              : "on+detail");
 }
 BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1)->Threads(4)->UseRealTime();
 
 /// Known-truth scenario-pool generation (datagen/scenario.h): the fixed cost
 /// every oasis_gen / oasis_run invocation and scenario test pays before a
@@ -903,25 +911,36 @@ int main(int argc, char** argv) {
   }
 
   // Derived metric: what turning the registry on costs the fused step path,
-  // as a percentage over the telemetry-off row — the number docs/TELEMETRY.md
-  // quotes and tools/check_bench_regression.py --max-metric gates in CI.
+  // as a percentage over the telemetry-off row of the same shape (same
+  // suffix after the mode, e.g. "/real_time/threads:4") — the number
+  // docs/TELEMETRY.md quotes and tools/check_bench_regression.py
+  // --max-metric gates in CI.
   {
     auto& results = writer.mutable_results();
-    double off_steps_per_sec = 0.0;
+    const std::string prefix = "BM_TelemetryOverhead/";
+    // "BM_TelemetryOverhead/<mode><suffix>" -> {mode, suffix}.
+    const auto split = [&prefix](const std::string& name) {
+      const size_t end = name.find('/', prefix.size());
+      const size_t cut = end == std::string::npos ? name.size() : end;
+      return std::make_pair(name.substr(prefix.size(), cut - prefix.size()),
+                            name.substr(cut));
+    };
+    std::map<std::string, double> off_steps_per_sec;  // By suffix.
     for (const auto& r : results) {
-      if (r.name == "BM_TelemetryOverhead/0") {
-        off_steps_per_sec = r.steps_per_sec;
-        break;
+      if (r.name.rfind(prefix, 0) != 0) continue;
+      const auto [mode, suffix] = split(r.name);
+      // First-wins, like the runner sweep above.
+      if (mode == "0" && r.steps_per_sec > 0.0) {
+        off_steps_per_sec.emplace(suffix, r.steps_per_sec);
       }
     }
-    if (off_steps_per_sec > 0.0) {
-      for (auto& r : results) {
-        if (r.name.rfind("BM_TelemetryOverhead/", 0) == 0 &&
-            r.name != "BM_TelemetryOverhead/0" && r.steps_per_sec > 0.0) {
-          r.metrics["telemetry_overhead_pct"] =
-              100.0 * (off_steps_per_sec / r.steps_per_sec - 1.0);
-        }
-      }
+    for (auto& r : results) {
+      if (r.name.rfind(prefix, 0) != 0 || r.steps_per_sec <= 0.0) continue;
+      const auto [mode, suffix] = split(r.name);
+      const auto off = off_steps_per_sec.find(suffix);
+      if (mode == "0" || off == off_steps_per_sec.end()) continue;
+      r.metrics["telemetry_overhead_pct"] =
+          100.0 * (off->second / r.steps_per_sec - 1.0);
     }
   }
 

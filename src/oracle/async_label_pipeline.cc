@@ -1,6 +1,7 @@
 #include "oracle/async_label_pipeline.h"
 
 #include "common/logging.h"
+#include "telemetry/telemetry.h"
 
 namespace oasis {
 
@@ -34,6 +35,7 @@ Status AsyncLabelPipeline::Prefetch(std::span<const int64_t> items, Rng* rng,
   OASIS_CHECK(rng != nullptr);
   batch_status_ = Status::OK();
   handle_ = pool_->Submit([this, items, rng, out_labels] {
+    TELEMETRY_SPAN("label_batch", "oracle");
     batch_status_ = labels_->QueryBatch(items, *rng, out_labels);
   });
   in_flight_ = true;

@@ -131,7 +131,6 @@ void RemoteOracle::LabelBatch(std::span<const int64_t> items, Rng& rng,
                               std::span<uint8_t> out) const {
   OASIS_DCHECK(items.size() == out.size());
   if (items.empty()) return;
-  TELEMETRY_SPAN("label_batch", "oracle");
   queries_.fetch_add(static_cast<int64_t>(items.size()),
                      std::memory_order_relaxed);
   if (store_ == nullptr) {
@@ -169,7 +168,6 @@ Status RemoteOracle::TryLabelBatch(std::span<const int64_t> items, Rng& rng,
   }
   for (size_t i = 0; i < resolved.size(); ++i) resolved[i] = 0;
   if (items.empty()) return Status::OK();
-  TELEMETRY_SPAN("try_label_batch", "oracle");
   queries_.fetch_add(static_cast<int64_t>(items.size()),
                      std::memory_order_relaxed);
   // Page into round trips exactly like AccountFetch, but attempt each trip

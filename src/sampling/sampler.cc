@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "telemetry/telemetry.h"
 
 namespace oasis {
 
@@ -48,9 +49,18 @@ Result<bool> Sampler::QueryLabel(int64_t item) {
 
 Status Sampler::QueryLabels(std::span<const int64_t> items,
                             std::span<uint8_t> out_labels) {
-  OASIS_RETURN_NOT_OK(labels_->QueryBatch(items, rng_, out_labels));
-  iterations_ += static_cast<int64_t>(items.size());
-  return Status::OK();
+  const auto query = [&]() -> Status {
+    OASIS_RETURN_NOT_OK(labels_->QueryBatch(items, rng_, out_labels));
+    iterations_ += static_cast<int64_t>(items.size());
+    return Status::OK();
+  };
+  // One span per batched query (at most kQueryBatchChunk items): the oracle
+  // work of the static samplers' batched paths. A one-item batch (the
+  // single steps before F is defined) is a step, and steps are not traced.
+  // OASIS never batches.
+  if (items.size() <= 1) return query();
+  TELEMETRY_SPAN("label_batch", "oracle");
+  return query();
 }
 
 Status Sampler::StepBatch(int64_t n) {

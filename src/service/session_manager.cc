@@ -157,6 +157,8 @@ void SessionManager::Settle(const std::shared_ptr<Entry>& entry) {
 Result<LabelArrived> SessionManager::AdvanceLocked(
     const std::shared_ptr<Entry>& entry, int64_t labels) {
   std::lock_guard<std::mutex> lock(entry->mu);
+  // One span per served label request, however many labels it charges.
+  TELEMETRY_SPAN("advance", "service");
   if (!entry->failed.ok()) return entry->failed;
   Result<int64_t> charged = entry->session->Advance(labels);
   if (!charged.ok()) {

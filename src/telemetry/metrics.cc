@@ -1,6 +1,7 @@
 #include "telemetry/metrics.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 
@@ -15,14 +16,74 @@ void AtomicAddDouble(std::atomic<double>& target, double delta) {
   }
 }
 
+namespace internal {
+namespace {
+
+std::mutex g_slot_mutex;
+/// Which slots are leased, guarded by g_slot_mutex. The mutex also orders a
+/// slot's last update by its old owner before the first by its next owner,
+/// so a reused slot's cells keep accumulating exactly.
+bool g_slot_leased[kMetricSlots];
+
+/// Returns the calling thread's slot to the pool when the thread exits.
+/// Separate from tls_metric_slot so the hot-path read stays a plain
+/// constant-initialised thread_local with no guard or destructor check.
+struct SlotLease {
+  int slot = kSharedMetricSlot;
+  ~SlotLease() {
+    // Updates from later thread-exit destructors go to the shared cell: the
+    // slot may already belong to another thread.
+    tls_metric_slot = kSharedMetricSlot;
+    if (slot == kSharedMetricSlot) return;
+    std::lock_guard<std::mutex> lock(g_slot_mutex);
+    g_slot_leased[slot] = false;
+  }
+};
+
+thread_local SlotLease tls_slot_lease;
+
+}  // namespace
+
+int AcquireMetricSlot() {
+  int slot = kSharedMetricSlot;
+  {
+    std::lock_guard<std::mutex> lock(g_slot_mutex);
+    for (int i = 0; i < kMetricSlots; ++i) {
+      if (!g_slot_leased[i]) {
+        g_slot_leased[i] = true;
+        slot = i;
+        break;
+      }
+    }
+  }
+  tls_slot_lease.slot = slot;
+  tls_metric_slot = slot;
+  return slot;
+}
+
+}  // namespace internal
+
+int64_t Counter::value() const {
+  int64_t total = 0;
+  for (const internal::MetricLine& cell : cells_) {
+    total += cell.words[0].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void Counter::Reset() {
+  for (internal::MetricLine& cell : cells_) {
+    cell.words[0].store(0, std::memory_order_relaxed);
+  }
+}
+
 Histogram::Histogram(std::vector<double> upper_bounds)
     : upper_bounds_(std::move(upper_bounds)),
-      bins_(new std::atomic<int64_t>[upper_bounds_.size() + 1]) {
+      lines_per_slot_((kFirstBinWord + upper_bounds_.size() + 1 + 7) / 8),
+      lines_(std::make_unique<internal::MetricLine[]>(
+          (internal::kMetricSlots + 1) * lines_per_slot_)) {
   for (size_t i = 0; i + 1 < upper_bounds_.size(); ++i) {
     OASIS_CHECK(upper_bounds_[i] < upper_bounds_[i + 1]);
-  }
-  for (size_t i = 0; i <= upper_bounds_.size(); ++i) {
-    bins_[i].store(0, std::memory_order_relaxed);
   }
 }
 
@@ -34,17 +95,46 @@ void Histogram::Observe(double value) {
   // le-inclusive, so step back when the value sits exactly on a bound.
   size_t index = bin;
   if (bin > 0 && upper_bounds_[bin - 1] == value) index = bin - 1;
-  bins_[index].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(sum_, value);
+  const int slot = internal::MetricSlot();
+  internal::AddToCell(Word(slot, kFirstBinWord + index), slot, 1);
+  internal::AddToCell(Word(slot, kCountWord), slot, 1);
+  std::atomic<int64_t>& sum = Word(slot, kSumWord);
+  int64_t bits = sum.load(std::memory_order_relaxed);
+  if (slot != internal::kSharedMetricSlot) {
+    sum.store(std::bit_cast<int64_t>(std::bit_cast<double>(bits) + value),
+              std::memory_order_relaxed);
+    return;
+  }
+  while (!sum.compare_exchange_weak(
+      bits, std::bit_cast<int64_t>(std::bit_cast<double>(bits) + value),
+      std::memory_order_relaxed, std::memory_order_relaxed)) {
+  }
+}
+
+int64_t Histogram::SumWord(size_t word) const {
+  int64_t total = 0;
+  for (int slot = 0; slot <= internal::kMetricSlots; ++slot) {
+    total += Word(slot, word).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+double Histogram::sum() const {
+  double total = 0.0;
+  for (int slot = 0; slot <= internal::kMetricSlots; ++slot) {
+    total += std::bit_cast<double>(
+        Word(slot, kSumWord).load(std::memory_order_relaxed));
+  }
+  return total;
 }
 
 void Histogram::Reset() {
-  for (size_t i = 0; i <= upper_bounds_.size(); ++i) {
-    bins_[i].store(0, std::memory_order_relaxed);
+  const size_t lines = (internal::kMetricSlots + 1) * lines_per_slot_;
+  for (size_t line = 0; line < lines; ++line) {
+    for (std::atomic<int64_t>& word : lines_[line].words) {
+      word.store(0, std::memory_order_relaxed);
+    }
   }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 /// One (label set -> metric instance) entry of a family. Exactly one of the

@@ -18,27 +18,89 @@ namespace telemetry {
 /// telemetry values are statistical, not synchronising).
 void AtomicAddDouble(std::atomic<double>& target, double delta);
 
+namespace internal {
+
+/// Number of per-thread metric cells in every Counter and Histogram. Each
+/// live thread that updates a metric leases one slot (process-wide, shared by
+/// every metric) and is the only writer of that slot's cells; a thread's
+/// slot returns to the pool when it exits, so short-lived pools (one
+/// ThreadPool per RunErrorCurve call) reuse slots instead of exhausting
+/// them. 64 slots cost (64 + 1) * 64 B = ~4 KB per counter.
+inline constexpr int kMetricSlots = 64;
+
+/// The cell index of threads that found every slot leased (and of a thread
+/// whose lease was already returned during its exit): one cell shared by
+/// all of them, updated with atomic read-modify-writes.
+inline constexpr int kSharedMetricSlot = kMetricSlots;
+
+/// The calling thread's leased slot; -1 until its first metric update.
+inline thread_local constinit int tls_metric_slot = -1;
+
+/// Leases a slot for the calling thread (kSharedMetricSlot when none is
+/// free) and arranges its return at thread exit. Slow path of MetricSlot().
+int AcquireMetricSlot();
+
+/// The calling thread's cell index in every Counter and Histogram: its own
+/// slot (single writer) or kSharedMetricSlot (atomic RMW).
+inline int MetricSlot() {
+  const int slot = tls_metric_slot;
+  return slot >= 0 ? slot : AcquireMetricSlot();
+}
+
+/// Adds `delta` to the calling thread's cell: a plain load+store when the
+/// thread owns the slot (no other thread writes it), a fetch_add on the
+/// shared cell otherwise.
+inline void AddToCell(std::atomic<int64_t>& cell, int slot, int64_t delta) {
+  if (slot != kSharedMetricSlot) {
+    cell.store(cell.load(std::memory_order_relaxed) + delta,
+               std::memory_order_relaxed);
+  } else {
+    cell.fetch_add(delta, std::memory_order_relaxed);
+  }
+}
+
+/// One cache line of metric words: the unit a slot's cells are padded to,
+/// so no two threads' cells share a line.
+struct alignas(64) MetricLine {
+  std::atomic<int64_t> words[8];
+};
+
+}  // namespace internal
+
 /// Monotonically increasing integer metric (Prometheus counter semantics).
-/// Increment/Add are single relaxed fetch_adds — the whole hot-path cost of
-/// an instrumentation site. Thread-safe; stable address once registered.
+/// Each thread adds into its own cache-line cell (internal::MetricSlot), so
+/// Increment/Add on a hot path never touch a line another thread writes:
+/// a relaxed load and store, no read-modify-write. value() sums the cells:
+/// exact once the writers are joined (or otherwise synchronised), a
+/// statistical snapshot while they run. Thread-safe; stable address once
+/// registered.
 class Counter {
  public:
   /// Adds 1.
   void Increment() { Add(1); }
   /// Adds `delta` (>= 0 by convention; not enforced on the hot path).
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  /// Current value.
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  /// Zeroes the counter (snapshot-delta consumers; tests).
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Add(int64_t delta) {
+    const int slot = internal::MetricSlot();
+    internal::AddToCell(cells_[slot].words[0], slot, delta);
+  }
+  /// Current value: the sum of every thread's cell.
+  int64_t value() const;
+  /// Zeroes every cell (snapshot-delta consumers; tests). Meant for
+  /// quiescent points: a concurrent Add may land on either side of it.
+  void Reset();
 
  private:
-  std::atomic<int64_t> value_{0};
+  internal::MetricLine cells_[internal::kMetricSlots + 1];
 };
 
 /// Point-in-time floating value (Prometheus gauge semantics): Set for
 /// absolute readings (queue depth, live ESS), Add for +/- deltas (repeats in
 /// flight). Thread-safe; last writer wins on Set.
+///
+/// One cell, not per-thread cells like Counter: a Set must replace the whole
+/// value, and no gauge site is per step or per label (they are per repeat,
+/// pool task, request, session, checkpoint or breaker transition), so the
+/// shared line is not a hot-path cost.
 class Gauge {
  public:
   /// Replaces the value.
@@ -54,11 +116,13 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram with atomic bins (Prometheus histogram semantics):
-/// cumulative export as `_bucket{le=...}` counts plus `_sum` / `_count`.
-/// Observe() is one binary search over the (immutable) upper bounds plus two
-/// relaxed atomic adds. Bucket bounds are fixed at registration; the
-/// overflow (+Inf) bin is implicit.
+/// Fixed-bucket histogram (Prometheus histogram semantics): cumulative
+/// export as `_bucket{le=...}` counts plus `_sum` / `_count`. Like Counter,
+/// each thread observes into its own cache-line-padded cell (count, sum and
+/// one bin per bucket) and the readers sum the cells. Observe() is one
+/// binary search over the (immutable) upper bounds plus three single-writer
+/// updates. Bucket bounds are fixed at registration; the overflow (+Inf) bin
+/// is implicit.
 class Histogram {
  public:
   /// A histogram over `upper_bounds` (strictly increasing, finite; may be
@@ -73,26 +137,37 @@ class Histogram {
   /// Upper bound of finite bucket `i`.
   double upper_bound(size_t i) const { return upper_bounds_[i]; }
   /// Non-cumulative count of finite bucket `i`.
-  int64_t bucket_count(size_t i) const {
-    return bins_[i].load(std::memory_order_relaxed);
-  }
+  int64_t bucket_count(size_t i) const { return SumWord(kFirstBinWord + i); }
   /// Count of observations above the last finite bound (the +Inf bin).
   int64_t overflow_count() const {
-    return bins_[upper_bounds_.size()].load(std::memory_order_relaxed);
+    return SumWord(kFirstBinWord + upper_bounds_.size());
   }
   /// Total observations.
-  int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  /// Sum of all observed values.
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  /// Zeroes every bin, the count and the sum (bounds are kept).
+  int64_t count() const { return SumWord(kCountWord); }
+  /// Sum of all observed values (the cells' sums added in slot order).
+  double sum() const;
+  /// Zeroes every bin, the count and the sum of every cell (bounds are
+  /// kept). Meant for quiescent points, like Counter::Reset.
   void Reset();
 
  private:
+  /// Word layout of one slot's cell: the count, the sum (a double's bits),
+  /// then upper_bounds_.size() + 1 bins, the last being the +Inf bin.
+  static constexpr size_t kCountWord = 0;
+  static constexpr size_t kSumWord = 1;
+  static constexpr size_t kFirstBinWord = 2;
+
+  std::atomic<int64_t>& Word(int slot, size_t word) const {
+    return lines_[static_cast<size_t>(slot) * lines_per_slot_ + word / 8]
+        .words[word % 8];
+  }
+  int64_t SumWord(size_t word) const;
+
   std::vector<double> upper_bounds_;
-  /// upper_bounds_.size() + 1 bins; the last is the +Inf overflow bin.
-  std::unique_ptr<std::atomic<int64_t>[]> bins_;
-  std::atomic<int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  /// Cache lines per slot: enough for the count, the sum and every bin.
+  size_t lines_per_slot_;
+  /// (kMetricSlots + 1) * lines_per_slot_ lines, slot-major.
+  std::unique_ptr<internal::MetricLine[]> lines_;
 };
 
 /// One labelled child's key: `{key, value}` pairs in registration order

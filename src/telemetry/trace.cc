@@ -1,10 +1,30 @@
 #include "telemetry/trace.h"
 
+#include <atomic>
+
 namespace oasis {
 namespace telemetry {
 
+namespace {
+
+/// Source of TraceCollector ids; 0 is never issued, so it marks an empty
+/// lane cache.
+std::atomic<uint64_t> g_next_collector_id{1};
+
+/// The calling thread's most recent lane lookup: the collector it was for
+/// and the lane that collector assigned.
+struct LaneCache {
+  uint64_t collector_id = 0;
+  int lane = 0;
+};
+thread_local constinit LaneCache tls_lane_cache;
+
+}  // namespace
+
 TraceCollector::TraceCollector(size_t capacity)
-    : capacity_(capacity), epoch_(std::chrono::steady_clock::now()) {}
+    : capacity_(capacity),
+      epoch_(std::chrono::steady_clock::now()),
+      id_(g_next_collector_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 void TraceCollector::Append(TraceEvent event) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -42,13 +62,16 @@ double TraceCollector::NowMicros() const {
 }
 
 int TraceCollector::CurrentThreadLane() {
-  const std::thread::id self = std::this_thread::get_id();
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = thread_lanes_.find(self);
-  if (it != thread_lanes_.end()) return it->second;
-  const int lane = static_cast<int>(thread_lanes_.size()) + 1;
-  thread_lanes_.emplace(self, lane);
-  return lane;
+  LaneCache& cache = tls_lane_cache;
+  if (cache.collector_id != id_) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const int next_lane = static_cast<int>(thread_lanes_.size()) + 1;
+    const int lane =
+        thread_lanes_.try_emplace(std::this_thread::get_id(), next_lane)
+            .first->second;
+    cache = LaneCache{id_, lane};
+  }
+  return cache.lane;
 }
 
 TraceCollector& DefaultTraceCollector() {

@@ -24,11 +24,14 @@ struct TraceEvent {
   int tid = 0;           ///< Collector-assigned thread lane (stable per thread).
 };
 
-/// Bounded, mutex-guarded buffer of completed spans. Spans are coarse
-/// (per repeat, per oracle batch, per step batch — never per step), so one
-/// lock per completed span is cheap relative to the work it brackets; the
-/// capacity bound keeps a long run's memory flat, counting what it drops.
-/// The epoch is the collector's construction time (steady clock).
+/// Bounded, mutex-guarded buffer of completed spans. Spans are coarse —
+/// per run, per repeat, per trajectory, per served label request and per
+/// batched label query of a static sampler; never per step, per label or
+/// per oracle round trip — so the one lock a completed span takes (its
+/// thread lane is cached per thread) is cheap relative to the work it
+/// brackets. The capacity bound keeps a long run's memory flat, counting
+/// what it drops. The epoch is the collector's construction time (steady
+/// clock).
 class TraceCollector {
  public:
   /// A collector holding at most `capacity` events.
@@ -56,7 +59,8 @@ class TraceCollector {
   double NowMicros() const;
 
   /// Small dense id for the calling thread (assigned on first use, stable
-  /// afterwards) — the "tid" lane of this collector's events.
+  /// afterwards) — the "tid" lane of this collector's events. The calling
+  /// thread caches its lane in this collector, so repeat calls take no lock.
   int CurrentThreadLane();
 
   /// Default event capacity (per collector).
@@ -65,6 +69,9 @@ class TraceCollector {
  private:
   const size_t capacity_;
   const std::chrono::steady_clock::time_point epoch_;
+  /// Process-unique id keying the per-thread lane cache: a collector built
+  /// where a destroyed one lived must not inherit its cached lanes.
+  const uint64_t id_;
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
   int64_t dropped_ = 0;

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -174,6 +177,128 @@ TEST(MetricRegistryTest, ConcurrentIncrementsAreExactAndRaceFree) {
             int64_t{kThreads} * kIterations);
 }
 
+// Per-thread metric cells: each live thread writes its own slot, threads
+// beyond the slot count share one read-modify-write cell, and slots of
+// exited threads are reused. Every case checks exact totals after the join.
+
+TEST(MetricCellTest, MoreThreadsThanSlotsKeepExactTotals) {
+  MetricRegistry registry;
+  Counter& counter = registry.AddCounter("oasis_test_total", "help");
+  Histogram& hist = registry.AddHistogram("oasis_test_hist", "help", {1.0, 4.0});
+  constexpr int kThreads = internal::kMetricSlots + 8;
+  constexpr int kIterations = 2000;
+  // Every thread takes its slot, then waits until all are alive, so at least
+  // 8 of them cannot find a free slot and land on the shared cell.
+  std::latch all_alive(kThreads);
+  std::atomic<int> on_shared_cell{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      counter.Increment();
+      hist.Observe(0.5);
+      if (internal::MetricSlot() == internal::kSharedMetricSlot) {
+        on_shared_cell.fetch_add(1);
+      }
+      all_alive.arrive_and_wait();
+      for (int i = 1; i < kIterations; ++i) {
+        counter.Increment();
+        hist.Observe(static_cast<double>(i % 8));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_GE(on_shared_cell.load(), 8);
+  EXPECT_EQ(counter.value(), int64_t{kThreads} * kIterations);
+  EXPECT_EQ(hist.count(), int64_t{kThreads} * kIterations);
+  // i % 8 for i in [1, kIterations): 0 and 1 fall in bucket 0 (le 1), 2..4
+  // in bucket 1 (le 4), 5..7 overflow; plus each thread's first 0.5.
+  int64_t low = 0, mid = 0, high = 0;
+  double sum = 0.0;
+  for (int i = 1; i < kIterations; ++i) {
+    const int v = i % 8;
+    (v <= 1 ? low : v <= 4 ? mid : high) += 1;
+    sum += v;
+  }
+  EXPECT_EQ(hist.bucket_count(0), int64_t{kThreads} * (low + 1));
+  EXPECT_EQ(hist.bucket_count(1), int64_t{kThreads} * mid);
+  EXPECT_EQ(hist.overflow_count(), int64_t{kThreads} * high);
+  // Integer-valued observations: every partial sum is exact.
+  EXPECT_EQ(hist.sum(), kThreads * (sum + 0.5));
+}
+
+TEST(MetricCellTest, SlotsOfExitedThreadsAreReusedExactly) {
+  MetricRegistry registry;
+  Counter& counter = registry.AddCounter("oasis_test_total", "help");
+  Histogram& hist = registry.AddHistogram("oasis_test_hist", "help", {2.0});
+  // 3x the slot count of short-lived threads, in waves of at most 8 alive,
+  // like the fresh ThreadPool each RunErrorCurve call builds. Without reuse,
+  // two thirds of them would fall through to the shared cell.
+  constexpr int kThreads = 3 * internal::kMetricSlots;
+  constexpr int kWave = 8;
+  constexpr int kIterations = 500;
+  std::atomic<int> on_shared_cell{0};
+  for (int started = 0; started < kThreads; started += kWave) {
+    std::vector<std::thread> wave;
+    for (int t = 0; t < kWave; ++t) {
+      wave.emplace_back([&] {
+        for (int i = 0; i < kIterations; ++i) {
+          counter.Add(2);
+          hist.Observe(1.0);
+        }
+        if (internal::MetricSlot() == internal::kSharedMetricSlot) {
+          on_shared_cell.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& thread : wave) thread.join();
+  }
+  EXPECT_EQ(on_shared_cell.load(), 0);
+  EXPECT_EQ(counter.value(), int64_t{2} * kThreads * kIterations);
+  EXPECT_EQ(hist.count(), int64_t{kThreads} * kIterations);
+  EXPECT_EQ(hist.bucket_count(0), int64_t{kThreads} * kIterations);
+  EXPECT_EQ(hist.overflow_count(), 0);
+  EXPECT_EQ(hist.sum(), static_cast<double>(kThreads) * kIterations);
+}
+
+TEST(MetricCellTest, ResetValuesZeroesEveryCell) {
+  MetricRegistry registry;
+  Counter& counter = registry.AddCounter("oasis_test_total", "help");
+  Histogram& hist =
+      registry.AddHistogram("oasis_test_hist", "help", {1.0, 2.0, 3.0, 4.0,
+                                                        5.0, 6.0, 7.0, 8.0});
+  Gauge& gauge = registry.AddGauge("oasis_test_gauge", "help");
+  // Fill cells on several threads (own slots) and on this one.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 6; ++t) {
+    threads.emplace_back([&, t] {
+      counter.Add(t + 1);
+      hist.Observe(static_cast<double>(t) + 0.5);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  counter.Add(100);
+  hist.Observe(100.0);
+  gauge.Set(3.0);
+  ASSERT_EQ(counter.value(), 121);
+  ASSERT_EQ(hist.count(), 7);
+
+  registry.ResetValues();
+  EXPECT_EQ(counter.value(), 0);
+  EXPECT_EQ(hist.count(), 0);
+  EXPECT_EQ(hist.sum(), 0.0);
+  EXPECT_EQ(hist.overflow_count(), 0);
+  for (size_t i = 0; i < hist.num_buckets(); ++i) {
+    EXPECT_EQ(hist.bucket_count(i), 0) << i;
+  }
+  EXPECT_EQ(gauge.value(), 0.0);
+
+  // Cells keep accumulating from zero after the reset.
+  std::thread([&] { counter.Add(5); }).join();
+  counter.Add(1);
+  EXPECT_EQ(counter.value(), 6);
+}
+
 // --- Kill switches and spans -----------------------------------------------
 
 TEST(TelemetryGateTest, SpansAreInertWhileDisabled) {
@@ -234,6 +359,39 @@ TEST(TraceCollectorTest, ThreadLanesAreStablePerThread) {
   std::thread([&] { other_lane = collector.CurrentThreadLane(); }).join();
   EXPECT_NE(other_lane, lane);
 }
+
+#if !defined(OASIS_TELEMETRY_DISABLED)
+TEST(TraceCollectorTest, ConcurrentSpansKeepDistinctStableLanesAndLoseNothing) {
+  ScopedEnable on(true);
+  TraceCollector& collector = DefaultTraceCollector();
+  collector.Clear();
+  constexpr int kThreads = 8;
+  constexpr int kSpans = 1000;
+  std::vector<int> lanes(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&collector, &lanes, t] {
+      lanes[static_cast<size_t>(t)] = collector.CurrentThreadLane();
+      for (int i = 0; i < kSpans; ++i) {
+        TELEMETRY_SPAN("lane_test", "test");
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const std::set<int> distinct(lanes.begin(), lanes.end());
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kThreads));
+  std::map<int, int> spans_per_lane;
+  for (const TraceEvent& event : collector.Snapshot()) {
+    ASSERT_EQ(event.name, "lane_test");
+    ++spans_per_lane[event.tid];
+  }
+  EXPECT_EQ(collector.dropped(), 0);
+  ASSERT_EQ(spans_per_lane.size(), static_cast<size_t>(kThreads));
+  for (int lane : lanes) EXPECT_EQ(spans_per_lane[lane], kSpans) << lane;
+  collector.Clear();
+}
+#endif  // !defined(OASIS_TELEMETRY_DISABLED)
 
 // --- Heartbeat line --------------------------------------------------------
 
@@ -326,7 +484,10 @@ TEST(TelemetryDeterminismTest, ErrorCurveBitIdenticalWithTelemetryOnOrOff) {
 #if !defined(OASIS_TELEMETRY_DISABLED)
 // The exports cover all three instrumented layers: a run priced through the
 // remote-oracle stack must surface sampler, runner AND oracle metrics in
-// the Prometheus text, and spans from every layer category in the trace.
+// the Prometheus text, and spans from every layer category in the trace —
+// without a span per label. OASIS asks for one label per round trip, so its
+// oracle work shows only in the counters; the oracle spans come from a
+// static sampler's batched queries through the same stack.
 TEST(TelemetryCoverageTest, ExportsCoverSamplerRunnerAndOracleLayers) {
   testutil::SyntheticPoolOptions pool_options;
   pool_options.size = 800;
@@ -364,11 +525,28 @@ TEST(TelemetryCoverageTest, ExportsCoverSamplerRunnerAndOracleLayers) {
   EXPECT_GT(round_trips->value(), 0);
 
   std::set<std::string> categories;
-  for (const TraceEvent& event : DefaultTraceCollector().Snapshot()) {
+  const std::vector<TraceEvent> oasis_events = DefaultTraceCollector().Snapshot();
+  for (const TraceEvent& event : oasis_events) {
     categories.insert(event.category);
   }
   EXPECT_TRUE(categories.count("runner")) << "missing runner spans";
   EXPECT_TRUE(categories.count("sampler")) << "missing sampler spans";
+  // A few spans per repeat (repeat, run_trajectory) plus the run's own
+  // (run_error_curve, reduce) — never one per label: 3 repeats x 100 labels
+  // would be 300 and more.
+  constexpr size_t kMaxSpansPerRepeat = 4;
+  EXPECT_LE(oasis_events.size(),
+            kMaxSpansPerRepeat * static_cast<size_t>(options.repeats));
+
+  DefaultTraceCollector().Clear();
+  ASSERT_TRUE(RunErrorCurve(experiments::MakePassiveSpec(/*alpha=*/0.5),
+                            pool.scored, oracle, pool.true_measures.f_alpha,
+                            options)
+                  .ok());
+  categories.clear();
+  for (const TraceEvent& event : DefaultTraceCollector().Snapshot()) {
+    categories.insert(event.category);
+  }
   EXPECT_TRUE(categories.count("oracle")) << "missing oracle spans";
   DefaultTraceCollector().Clear();
 }
