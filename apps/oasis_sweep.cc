@@ -21,9 +21,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,10 +66,11 @@ Result<SweepOutcome> RunSweep(const std::string& config_path,
   const std::vector<std::string> budget_strings = config.GetStringList("budgets");
   std::vector<int64_t> budgets;
   for (const std::string& budget : budget_strings) {
-    budgets.push_back(std::strtoll(budget.c_str(), nullptr, 10));
-    if (budgets.back() <= 0) {
+    const std::optional<int64_t> value = experiments::ParseInt64(budget);
+    if (!value || *value <= 0) {
       return Status::InvalidArgument("sweep config: bad budget '" + budget + "'");
     }
+    budgets.push_back(*value);
   }
   OASIS_ASSIGN_OR_RETURN(experiments::ScenarioRunOptions base_options,
                          experiments::ScenarioRunOptions::FromConfig(config));

@@ -6,7 +6,7 @@
 namespace oasis {
 
 MultiAlphaEstimator::MultiAlphaEstimator(std::vector<double> alphas)
-    : alphas_(std::move(alphas)) {}
+    : alphas_(std::move(alphas)), sums_(alphas_.front()) {}
 
 Result<MultiAlphaEstimator> MultiAlphaEstimator::Create(std::vector<double> alphas) {
   if (alphas.empty()) {
@@ -20,26 +20,15 @@ Result<MultiAlphaEstimator> MultiAlphaEstimator::Create(std::vector<double> alph
   return MultiAlphaEstimator(std::move(alphas));
 }
 
-void MultiAlphaEstimator::Add(double weight, bool label, bool prediction) {
-  if (label && prediction) num_ += weight;
-  if (prediction) den_pred_ += weight;
-  if (label) den_true_ += weight;
-  ++observations_;
-}
-
 std::vector<MultiAlphaEstimator::GridEstimate> MultiAlphaEstimator::Estimates()
     const {
   std::vector<GridEstimate> out;
   out.reserve(alphas_.size());
   for (double alpha : alphas_) {
-    GridEstimate estimate;
-    estimate.alpha = alpha;
-    const double denom = alpha * den_pred_ + (1.0 - alpha) * den_true_;
-    if (denom > 0.0) {
-      estimate.f_alpha = num_ / denom;
-      estimate.defined = true;
-    }
-    out.push_back(estimate);
+    const EstimateSnapshot snap =
+        SnapshotFromSums(sums_.numerator(), sums_.denominator_predicted(),
+                         sums_.denominator_true(), alpha);
+    out.push_back({alpha, snap.f_alpha, snap.f_defined});
   }
   return out;
 }

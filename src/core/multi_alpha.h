@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/ais_estimator.h"
+#include "sampling/ais_estimator.h"
 
 namespace oasis {
 
@@ -27,7 +27,9 @@ class MultiAlphaEstimator {
   static Result<MultiAlphaEstimator> Create(std::vector<double> alphas);
 
   /// Folds one importance-weighted observation into the shared sums.
-  void Add(double weight, bool label, bool prediction);
+  void Add(double weight, bool label, bool prediction) {
+    sums_.Add(weight, label, prediction);
+  }
 
   /// F_alpha estimate for grid entry i; undefined (false) until the
   /// corresponding denominator is positive.
@@ -41,16 +43,14 @@ class MultiAlphaEstimator {
   /// The alpha evaluation grid, as passed to Create.
   const std::vector<double>& alphas() const { return alphas_; }
   /// Number of observations folded in so far.
-  int64_t observations() const { return observations_; }
+  int64_t observations() const { return sums_.observations(); }
 
  private:
   explicit MultiAlphaEstimator(std::vector<double> alphas);
 
   std::vector<double> alphas_;
-  double num_ = 0.0;
-  double den_pred_ = 0.0;
-  double den_true_ = 0.0;
-  int64_t observations_ = 0;
+  // The alpha-free sums; its own alpha (the grid's first) is never read.
+  AisEstimator sums_;
 };
 
 }  // namespace oasis

@@ -256,29 +256,31 @@ Status OasisSampler::StepFenwick() {
   // rebuild tolerance (full support comes from the epsilon component).
   const double weight = strata_->weight(k) / FenwickMixtureProbability(k, total);
 
-  // Lines 7-8: query oracle, read prediction.
+  // Lines 7-11. Only stratum k's posterior mean moved, so one O(log K)
+  // point update keeps the tree exact under the build-point F.
+  OASIS_RETURN_NOT_OK(Observe(k, item, weight));
+  v_star_tree_.Update(k, StratumMass(k, tree_f_));
+  return Status::OK();
+}
+
+Status OasisSampler::Observe(size_t stratum, int64_t item, double weight) {
+  // Lines 7-8: query oracle, read prediction. A failed query returns before
+  // any state moves.
   OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
   const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
 
-  // Lines 9-11: posterior update and AIS sums. Only stratum k's posterior
-  // mean moved, so one O(log K) point update keeps the tree exact under the
-  // build-point F.
-  ObserveLabel(k, label);
-  v_star_tree_.Update(k, StratumMass(k, tree_f_));
+  // Lines 9-11: posterior update and AIS sums. Only the observed stratum's
+  // posterior changed (Eqn. 10 is per-stratum), so a single refresh keeps
+  // the caches exact.
+  model_.Observe(stratum, label);
+  pi_cache_[stratum] = model_.PosteriorMean(stratum);
+  sqrt_pi_cache_[stratum] = std::sqrt(pi_cache_[stratum]);
   estimator_.Add(weight, label, prediction);
   if (observer_) observer_(weight, label, prediction);
   monitor_.Observe(weight);
   RecordOasisStepTelemetry(weight);
   MaybeDegrade();
   return Status::OK();
-}
-
-void OasisSampler::ObserveLabel(size_t stratum, bool label) {
-  model_.Observe(stratum, label);
-  // Only the observed stratum's posterior changed (Eqn. 10 is per-stratum),
-  // so a single refresh keeps the caches exact.
-  pi_cache_[stratum] = model_.PosteriorMean(stratum);
-  sqrt_pi_cache_[stratum] = std::sqrt(pi_cache_[stratum]);
 }
 
 void OasisSampler::RefreshFusedMasses(double f) {
@@ -382,19 +384,10 @@ Status OasisSampler::StepFused() {
   // q_t(z) = v_k / |P_k|. The epsilon floor bounds this by 1/epsilon.
   const double weight = strata_->weight(k) / FusedMixtureProbability(k, total);
 
-  // Lines 7-8: query oracle, read prediction.
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-
-  // Lines 9-11: posterior update and AIS sums. Only stratum k's posterior
-  // moved, so only its mass is stale for the next step.
-  ObserveLabel(k, label);
+  // Lines 7-11. Only stratum k's posterior moved, so only its mass is stale
+  // for the next step.
+  OASIS_RETURN_NOT_OK(Observe(k, item, weight));
   fused_observed_ = k;
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  MaybeDegrade();
   return Status::OK();
 }
 
@@ -452,15 +445,7 @@ Status OasisSampler::StepFrozen() {
   // but the sampling distribution no longer adapts.
   const size_t k = rng().NextDiscreteLinear(frozen_v_);
   const int64_t item = strata_->SampleItem(k, rng());
-  const double weight = strata_->weight(k) / frozen_v_[k];
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-  ObserveLabel(k, label);
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  return Status::OK();
+  return Observe(k, item, strata_->weight(k) / frozen_v_[k]);
 }
 
 Status OasisSampler::Step() {

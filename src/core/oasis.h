@@ -9,8 +9,8 @@
 
 #include "common/alias_table.h"
 #include "common/fenwick_tree.h"
-#include "core/ais_estimator.h"
 #include "core/bayesian_model.h"
+#include "sampling/ais_estimator.h"
 #include "sampling/sampler.h"
 #include "stats/degeneracy.h"
 #include "strata/csf.h"
@@ -271,7 +271,8 @@ class OasisSampler : public Sampler {
   /// keep posterior and diagnostics updating.
   Status StepFrozen();
   /// Fires the graceful degradation once the monitor reports a degenerate
-  /// weight history (no-op unless OasisOptions::degrade_on_degeneracy).
+  /// weight history (no-op unless OasisOptions::degrade_on_degeneracy, and
+  /// once degraded).
   void MaybeDegrade();
   /// Snapshots the current epsilon-greedy instrumental into frozen_v_ (under
   /// the boosted floor) for StepFrozen.
@@ -290,9 +291,14 @@ class OasisSampler : public Sampler {
   /// Recomputes every Fenwick mass under `f` in O(K) (no allocation) and
   /// records `f` as the build point for the drift check.
   void RebuildFenwickMasses(double f);
-  /// Records the label in the beta posterior and refreshes the incremental
-  /// caches for the observed stratum (the only one whose mean can change).
-  void ObserveLabel(size_t stratum, bool label);
+  /// Algorithm 3's lines 7-11, shared by every step path: queries the
+  /// oracle for `item` (drawn from `stratum` with importance weight
+  /// `weight`), updates the beta posterior and the incremental caches for
+  /// that stratum (the only one whose mean can change), folds the
+  /// observation into the estimator, the observer and the monitor, records
+  /// the step's telemetry and runs MaybeDegrade. A failed query returns
+  /// before any state moves.
+  Status Observe(size_t stratum, int64_t item, double weight);
 
   std::shared_ptr<const OasisSetup> setup_;
   // Shorthands into *setup_, which owns them.
@@ -319,7 +325,7 @@ class OasisSampler : public Sampler {
   std::vector<double> v_scratch_;
   // --- Fused-path state --------------------------------------------------
   // Incrementally-maintained posterior means pi-hat_k and their square roots;
-  // ObserveLabel refreshes only the observed stratum, so Step() never
+  // Observe refreshes only the observed stratum, so Step() never
   // recomputes the full posterior. Values are bit-identical to
   // model_.PosteriorMeans() at all times.
   std::vector<double> pi_cache_;

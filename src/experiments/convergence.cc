@@ -4,6 +4,7 @@
 #include <string>
 
 #include "core/instrumental.h"
+#include "sampling/trajectory.h"
 #include "stats/kl_divergence.h"
 #include "stats/transforms.h"
 
@@ -34,13 +35,19 @@ Result<ConvergenceTrace> TraceOasisConvergence(OasisSampler& sampler,
       std::vector<double> v_star,
       EpsilonGreedyMix(strata.weights(), v_star_raw, sampler.options().epsilon));
 
+  // One cursor step per grid point: Advance(checkpoint_every) stops on the
+  // step that charged that checkpoint's label, so the diagnostics read the
+  // sampler state right after it.
+  TrajectoryOptions options;
+  options.budget = budget;
+  options.checkpoint_every = checkpoint_every;
+  options.max_iterations = 50 * budget + 100000;
+  OASIS_ASSIGN_OR_RETURN(TrajectoryCursor cursor,
+                         TrajectoryCursor::Start(sampler, options));
   ConvergenceTrace trace;
-  int64_t next_checkpoint = checkpoint_every;
-  const int64_t max_iterations = 50 * budget + 100000;
-  while (sampler.labels_consumed() < budget &&
-         sampler.iterations() < max_iterations) {
-    OASIS_RETURN_NOT_OK(sampler.Step());
-    if (sampler.labels_consumed() < next_checkpoint) continue;
+  for (size_t i = 0; i < cursor.trajectory().budgets.size(); ++i) {
+    OASIS_RETURN_NOT_OK(cursor.Advance(checkpoint_every).status());
+    if (cursor.trajectory().truncated) break;
 
     const EstimateSnapshot snap = sampler.Estimate();
     const std::vector<double> pi_hat = sampler.PosteriorMeans();
@@ -53,14 +60,14 @@ Result<ConvergenceTrace> TraceOasisConvergence(OasisSampler& sampler,
     trace.pi_abs_error.push_back(MeanAbsoluteDifference(pi_hat, true_pi));
     trace.v_abs_error.push_back(MeanAbsoluteDifference(v_now, v_star));
     trace.kl_divergence.push_back(kl);
-    next_checkpoint += checkpoint_every;
   }
-  if (sampler.labels_consumed() < budget) {
+  OASIS_RETURN_NOT_OK(cursor.Advance(0).status());
+  if (cursor.trajectory().truncated) {
     // A short trace would pass for a complete one; e.g. a budget above the
     // pool size under a deterministic oracle runs out of fresh labels.
     return Status::OutOfRange(
         "TraceOasisConvergence: iteration cap of " +
-        std::to_string(max_iterations) + " reached after " +
+        std::to_string(options.max_iterations) + " reached after " +
         std::to_string(sampler.labels_consumed()) + " of " +
         std::to_string(budget) + " labels");
   }

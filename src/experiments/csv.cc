@@ -1,11 +1,11 @@
 #include "experiments/csv.h"
 
-#include <cerrno>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/number_format.h"
+#include "experiments/config.h"
 
 namespace oasis {
 namespace experiments {
@@ -79,13 +79,12 @@ Result<LoadedPool> ReadPoolCsv(const std::string& path) {
       return Status::InvalidArgument("ReadPoolCsv: short row at line " +
                                      std::to_string(line_number));
     }
-    errno = 0;
-    char* end = nullptr;
-    const double score = std::strtod(cells[0].c_str(), &end);
-    if (end == cells[0].c_str() || errno == ERANGE) {
+    const std::optional<double> parsed = ParseDouble(cells[0]);
+    if (!parsed) {
       return Status::InvalidArgument("ReadPoolCsv: bad score at line " +
                                      std::to_string(line_number));
     }
+    const double score = *parsed;
     const std::string& pred = cells[1];
     if (pred != "0" && pred != "1") {
       return Status::InvalidArgument("ReadPoolCsv: bad prediction at line " +
@@ -179,14 +178,12 @@ Status WriteCurvesCsv(const std::string& path,
 namespace {
 
 Result<double> ParseCsvDouble(const std::string& cell, size_t line_number) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(cell.c_str(), &end);
-  if (end == cell.c_str() || *end != '\0' || errno == ERANGE) {
+  const std::optional<double> value = ParseDouble(cell);
+  if (!value) {
     return Status::InvalidArgument("ReadCurvesCsv: bad number '" + cell +
                                    "' at line " + std::to_string(line_number));
   }
-  return value;
+  return *value;
 }
 
 }  // namespace

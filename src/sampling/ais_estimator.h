@@ -1,11 +1,23 @@
-#ifndef OASIS_CORE_AIS_ESTIMATOR_H_
-#define OASIS_CORE_AIS_ESTIMATOR_H_
+#ifndef OASIS_SAMPLING_AIS_ESTIMATOR_H_
+#define OASIS_SAMPLING_AIS_ESTIMATOR_H_
 
 #include <cstdint>
 
+#include "common/logging.h"
 #include "sampling/sampler.h"
 
 namespace oasis {
+
+/// The ratios of paper Eqn. (3) over its three weighted sums:
+///   F_alpha   = num / (alpha den_pred + (1-alpha) den_true),
+///   precision = num / den_pred,
+///   recall    = num / den_true,
+/// each defined only where its denominator is positive (the 0/0 regime).
+/// Every estimator in the repo prices its sums here: the AIS samplers, the
+/// passive sampler (unit weights), the stratified sampler (population-
+/// weighted stratum means) and MultiAlphaEstimator (one call per alpha).
+EstimateSnapshot SnapshotFromSums(double num, double den_pred, double den_true,
+                                  double alpha);
 
 /// Running form of the adaptive-importance-sampling F-measure estimator
 /// (paper Eqn. 3).
@@ -14,9 +26,8 @@ namespace oasis {
 ///   num      = sum_t w_t l_t l-hat_t
 ///   den_pred = sum_t w_t l-hat_t
 ///   den_true = sum_t w_t l_t
-/// from which F_alpha = num / (alpha den_pred + (1-alpha) den_true),
-/// precision = num / den_pred, and recall = num / den_true all follow — the
-/// alpha=1 and alpha=0 specialisations of the same statistic.
+/// from which F_alpha, precision and recall all follow (SnapshotFromSums) —
+/// the alpha=1 and alpha=0 specialisations of the same statistic.
 class AisEstimator {
  public:
   /// `alpha` is the F-measure weight the F_alpha snapshot reports (the sums
@@ -24,11 +35,19 @@ class AisEstimator {
   explicit AisEstimator(double alpha);
 
   /// Folds one weighted observation (w_t, l_t, l-hat_t) into the sums.
-  void Add(double weight, bool label, bool prediction);
+  void Add(double weight, bool label, bool prediction) {
+    OASIS_DCHECK(weight >= 0.0);
+    if (label && prediction) num_ += weight;
+    if (prediction) den_pred_ += weight;
+    if (label) den_true_ += weight;
+    ++observations_;
+  }
 
   /// Current snapshot; fields are undefined until the corresponding
   /// denominator is positive (the 0/0 regime of Eqn. 3).
-  EstimateSnapshot Snapshot() const;
+  EstimateSnapshot Snapshot() const {
+    return SnapshotFromSums(num_, den_pred_, den_true_, alpha_);
+  }
 
   /// F_alpha if defined, otherwise `fallback` — OASIS feeds this into the
   /// instrumental-distribution update with fallback = F-hat(0).
@@ -53,4 +72,4 @@ class AisEstimator {
 
 }  // namespace oasis
 
-#endif  // OASIS_CORE_AIS_ESTIMATOR_H_
+#endif  // OASIS_SAMPLING_AIS_ESTIMATOR_H_

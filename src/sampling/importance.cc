@@ -17,7 +17,9 @@ double ScoreToProbability(double score, bool scores_are_probabilities,
 
 ImportanceSampler::ImportanceSampler(const ScoredPool* pool, LabelCache* labels,
                                      const ImportanceOptions& options, Rng rng)
-    : Sampler(pool, labels, options.alpha, rng), options_(options) {}
+    : Sampler(pool, labels, options.alpha, rng),
+      options_(options),
+      estimator_(options.alpha) {}
 
 Result<std::unique_ptr<ImportanceSampler>> ImportanceSampler::Create(
     const ScoredPool* pool, LabelCache* labels, const ImportanceOptions& options,
@@ -91,65 +93,27 @@ Status ImportanceSampler::BuildInstrumental() {
 Status ImportanceSampler::Step() { return StepBatch(1); }
 
 Status ImportanceSampler::StepBatch(int64_t n) {
-  if (n < 0) {
-    return Status::InvalidArgument("StepBatch: n must be non-negative");
-  }
+  // The instrumental distribution is static, so item draws never depend on
+  // the labels and BatchedSteps may pre-draw them a chunk at a time.
   const bool use_alias = options_.backend == SamplingBackend::kAliasTable;
   const uint8_t* predictions = pool().predictions.data();
   const double* weights = weights_.data();
-
-  if (CanBatchQueries()) {
-    // The instrumental distribution is static, so item draws are independent
-    // of the labels and the chunked pre-draw + batched-query scaffold
-    // replays the exact sequential sequence.
-    return BatchedSteps(
-        n,
-        [&](int64_t) {
-          return static_cast<int64_t>(use_alias ? alias_.Sample(rng())
-                                                : rng().NextDiscreteLinear(q_));
-        },
-        [&](int64_t, int64_t item_index, bool label) {
-          const size_t item = static_cast<size_t>(item_index);
-          const bool prediction = predictions[item] != 0;
-          const double w = weights[item];
-          if (label && prediction) num_ += w;
-          if (prediction) den_pred_ += w;
-          if (label) den_true_ += w;
-          monitor_.Observe(w);
-        });
-  }
-
-  // RNG-consuming oracle: preserve the exact sequential interleaving.
-  for (int64_t i = 0; i < n; ++i) {
-    const size_t item = use_alias ? alias_.Sample(rng()) : rng().NextDiscreteLinear(q_);
-    OASIS_ASSIGN_OR_RETURN(const bool label,
-                           QueryLabel(static_cast<int64_t>(item)));
-    const bool prediction = predictions[item] != 0;
-    const double w = weights[item];
-    if (label && prediction) num_ += w;
-    if (prediction) den_pred_ += w;
-    if (label) den_true_ += w;
-    monitor_.Observe(w);
-  }
-  return Status::OK();
+  return BatchedSteps(
+      n,
+      [&](int64_t) {
+        return static_cast<int64_t>(use_alias ? alias_.Sample(rng())
+                                              : rng().NextDiscreteLinear(q_));
+      },
+      [&](int64_t, int64_t item_index, bool label) {
+        const size_t item = static_cast<size_t>(item_index);
+        const double w = weights[item];
+        estimator_.Add(w, label, predictions[item] != 0);
+        monitor_.Observe(w);
+      });
 }
 
 EstimateSnapshot ImportanceSampler::Estimate() const {
-  EstimateSnapshot snap;
-  const double denom = alpha() * den_pred_ + (1.0 - alpha()) * den_true_;
-  if (denom > 0.0) {
-    snap.f_alpha = num_ / denom;
-    snap.f_defined = true;
-  }
-  if (den_pred_ > 0.0) {
-    snap.precision = num_ / den_pred_;
-    snap.precision_defined = true;
-  }
-  if (den_true_ > 0.0) {
-    snap.recall = num_ / den_true_;
-    snap.recall_defined = true;
-  }
-  return snap;
+  return estimator_.Snapshot();
 }
 
 }  // namespace oasis

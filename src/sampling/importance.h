@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/alias_table.h"
+#include "sampling/ais_estimator.h"
 #include "sampling/sampler.h"
 #include "stats/degeneracy.h"
 
@@ -81,11 +82,7 @@ class ImportanceSampler : public Sampler {
   AliasTable alias_;
   double f_guess_ = 0.0;
   DegeneracyMonitor monitor_;
-
-  // Running weighted sums of Eqn. (3).
-  double num_ = 0.0;        // sum w * l * l-hat
-  double den_pred_ = 0.0;   // sum w * l-hat
-  double den_true_ = 0.0;   // sum w * l
+  AisEstimator estimator_;
 };
 
 /// Maps a raw similarity score to a pseudo-probability in (0, 1): identity

@@ -14,7 +14,8 @@ OracleOptimalSampler::OracleOptimalSampler(const ScoredPool* pool,
                                            Rng rng)
     : Sampler(pool, labels, alpha, rng),
       strata_(std::move(strata)),
-      v_(std::move(v)) {}
+      v_(std::move(v)),
+      estimator_(alpha) {}
 
 Result<std::unique_ptr<OracleOptimalSampler>> OracleOptimalSampler::Create(
     const ScoredPool* pool, LabelCache* labels,
@@ -64,29 +65,13 @@ Status OracleOptimalSampler::Step() {
   const int64_t item = strata_->SampleItem(k, rng());
   const double weight = strata_->weight(k) / v_[k];
   OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-  if (label && prediction) num_ += weight;
-  if (prediction) den_pred_ += weight;
-  if (label) den_true_ += weight;
+  estimator_.Add(weight, label,
+                 pool().predictions[static_cast<size_t>(item)] != 0);
   return Status::OK();
 }
 
 EstimateSnapshot OracleOptimalSampler::Estimate() const {
-  EstimateSnapshot snap;
-  const double denom = alpha() * den_pred_ + (1.0 - alpha()) * den_true_;
-  if (denom > 0.0) {
-    snap.f_alpha = num_ / denom;
-    snap.f_defined = true;
-  }
-  if (den_pred_ > 0.0) {
-    snap.precision = num_ / den_pred_;
-    snap.precision_defined = true;
-  }
-  if (den_true_ > 0.0) {
-    snap.recall = num_ / den_true_;
-    snap.recall_defined = true;
-  }
-  return snap;
+  return estimator_.Snapshot();
 }
 
 }  // namespace oasis

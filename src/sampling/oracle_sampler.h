@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "sampling/ais_estimator.h"
 #include "sampling/sampler.h"
 #include "strata/strata.h"
 
@@ -42,10 +43,7 @@ class OracleOptimalSampler : public Sampler {
 
   std::shared_ptr<const Strata> strata_;
   std::vector<double> v_;
-  // Running weighted sums of Eqn. (3).
-  double num_ = 0.0;
-  double den_pred_ = 0.0;
-  double den_true_ = 0.0;
+  AisEstimator estimator_;
 };
 
 }  // namespace oasis

@@ -1,12 +1,10 @@
 #include "sampling/passive.h"
 
-#include <algorithm>
-
 namespace oasis {
 
 PassiveSampler::PassiveSampler(const ScoredPool* pool, LabelCache* labels,
                                double alpha, Rng rng)
-    : Sampler(pool, labels, alpha, rng) {}
+    : Sampler(pool, labels, alpha, rng), estimator_(alpha) {}
 
 Result<std::unique_ptr<PassiveSampler>> PassiveSampler::Create(
     const ScoredPool* pool, LabelCache* labels, double alpha, Rng rng) {
@@ -24,56 +22,20 @@ Result<std::unique_ptr<PassiveSampler>> PassiveSampler::Create(
 Status PassiveSampler::Step() { return StepBatch(1); }
 
 Status PassiveSampler::StepBatch(int64_t n) {
-  if (n < 0) {
-    return Status::InvalidArgument("StepBatch: n must be non-negative");
-  }
+  // Uniform draws never depend on the labels, so BatchedSteps may pre-draw
+  // them a chunk at a time.
   const uint64_t size = static_cast<uint64_t>(pool().size());
   const uint8_t* predictions = pool().predictions.data();
-
-  if (CanBatchQueries()) {
-    // Uniform draws are independent of the labels, so the chunked pre-draw +
-    // batched-query scaffold replays the exact sequential sequence.
-    return BatchedSteps(
-        n,
-        [&](int64_t) { return static_cast<int64_t>(rng().NextBounded(size)); },
-        [&](int64_t, int64_t item, bool label) {
-          const bool prediction = predictions[static_cast<size_t>(item)] != 0;
-          if (label && prediction) tp_ += 1.0;
-          if (prediction) predicted_pos_ += 1.0;
-          if (label) actual_pos_ += 1.0;
-        });
-  }
-
-  // RNG-consuming oracle: labelling draws deviates between item draws, so
-  // batching would change the stream; keep the exact sequential loop (still
-  // with invariants hoisted and no per-iteration virtual dispatch).
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t item = static_cast<int64_t>(rng().NextBounded(size));
-    OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-    const bool prediction = predictions[static_cast<size_t>(item)] != 0;
-    if (label && prediction) tp_ += 1.0;
-    if (prediction) predicted_pos_ += 1.0;
-    if (label) actual_pos_ += 1.0;
-  }
-  return Status::OK();
+  return BatchedSteps(
+      n, [&](int64_t) { return static_cast<int64_t>(rng().NextBounded(size)); },
+      [&](int64_t, int64_t item, bool label) {
+        estimator_.Add(1.0, label,
+                       predictions[static_cast<size_t>(item)] != 0);
+      });
 }
 
 EstimateSnapshot PassiveSampler::Estimate() const {
-  EstimateSnapshot snap;
-  const double denom = alpha() * predicted_pos_ + (1.0 - alpha()) * actual_pos_;
-  if (denom > 0.0) {
-    snap.f_alpha = tp_ / denom;
-    snap.f_defined = true;
-  }
-  if (predicted_pos_ > 0.0) {
-    snap.precision = tp_ / predicted_pos_;
-    snap.precision_defined = true;
-  }
-  if (actual_pos_ > 0.0) {
-    snap.recall = tp_ / actual_pos_;
-    snap.recall_defined = true;
-  }
-  return snap;
+  return estimator_.Snapshot();
 }
 
 }  // namespace oasis

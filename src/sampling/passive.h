@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "sampling/ais_estimator.h"
 #include "sampling/sampler.h"
 
 namespace oasis {
@@ -10,8 +11,8 @@ namespace oasis {
 /// Passive (uniform i.i.d.) sampler — the paper's first baseline.
 ///
 /// Each iteration draws a pool item uniformly with replacement, queries its
-/// label, and estimates F_alpha with the plain sample statistic of Eqn. (1).
-/// Under ER's extreme class imbalance the estimator stays undefined until the
+/// label, and estimates F_alpha with the plain sample statistic of Eqn. (1):
+/// Eqn. (3) with unit weights. Under ER's extreme class imbalance the estimator stays undefined until the
 /// first (predicted or true) positive is drawn, which is exactly the failure
 /// mode the paper illustrates on DBLP-ACM.
 class PassiveSampler : public Sampler {
@@ -29,10 +30,9 @@ class PassiveSampler : public Sampler {
  private:
   PassiveSampler(const ScoredPool* pool, LabelCache* labels, double alpha, Rng rng);
 
-  // Unweighted running counts over sampled (label, prediction) draws.
-  double tp_ = 0.0;
-  double predicted_pos_ = 0.0;
-  double actual_pos_ = 0.0;
+  // Eqn. (3)'s sums with every weight 1: the sample counts of true
+  // positives, predicted positives and actual positives.
+  AisEstimator estimator_;
 };
 
 }  // namespace oasis

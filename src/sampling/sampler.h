@@ -148,29 +148,34 @@ class Sampler {
   /// deviates. Note this is deliberately NOT Oracle::deterministic() — a
   /// NoisyOracle with degenerate {0,1} probabilities is deterministic yet
   /// still burns one deviate per labelled miss, which would reorder the
-  /// stream. Samplers with static instrumental distributions gate their
-  /// batched StepBatch fast path on this and fall back to the per-step loop
-  /// otherwise.
+  /// stream. BatchedSteps takes its sequential path when this is false.
   bool CanBatchQueries() const {
     return !labels_->oracle().labelling_consumes_rng();
   }
 
-  /// Shared scaffold of the batched StepBatch fast paths: runs `n`
-  /// iterations in chunks of kQueryBatchChunk, pre-drawing each chunk's
-  /// items via `draw` and resolving them in ONE LabelCache::QueryBatch
-  /// round-trip before tallying. Only valid when CanBatchQueries() — the
-  /// pre-draw reorders item draws relative to label queries, which is
-  /// stream-preserving exactly when labelling is RNG-free, making this the
-  /// identical item/label/counter sequence as `n` sequential Step() calls.
+  /// The one StepBatch of the samplers with static instrumental
+  /// distributions (passive / importance / stratified): runs `n` iterations
+  /// of draw, query, tally, and rejects n < 0.
   ///
-  /// `draw(i)` returns the item for chunk position i (and may record side
-  /// state, e.g. the stratum it drew); `tally(i, item, label)` folds the
-  /// resolved observation into the estimator. Positions are always
+  /// `draw(i)` returns the item for position i (and may record side state,
+  /// e.g. the stratum it drew); `tally(i, item, label)` folds the resolved
+  /// observation into the estimator. Positions are always
   /// < 2 * kQueryBatchChunk — the prefetching variant below double-buffers
   /// chunks, giving consecutive chunks disjoint position ranges — so
   /// draw-side scratch indexed by position must be sized for two chunks. A
-  /// position is never reused before its tally ran. Scratch buffers are
-  /// reused, so steady-state batches do not allocate.
+  /// position is never reused before its tally ran.
+  ///
+  /// When !CanBatchQueries() (labelling consumes the RNG) every iteration
+  /// runs draw(0), QueryLabel, tally(0, ...) in turn: the exact sequential
+  /// interleaving of item and label deviates.
+  ///
+  /// Otherwise iterations run in chunks of kQueryBatchChunk, pre-drawing
+  /// each chunk's items and resolving them in ONE LabelCache::QueryBatch
+  /// round-trip before tallying. The pre-draw reorders item draws relative
+  /// to label queries, which is stream-preserving exactly when labelling is
+  /// RNG-free, so this is the identical item/label/counter sequence as `n`
+  /// sequential Step() calls. Scratch buffers are reused, so steady-state
+  /// batches do not allocate.
   ///
   /// With a prefetch pool set (SetPrefetchPool) and more than one chunk of
   /// work, chunks are pipelined through an AsyncLabelPipeline: chunk t+1's
@@ -178,8 +183,25 @@ class Sampler {
   /// t+2 is drawn). All draws stay on the calling thread in step order and
   /// QueryBatch calls stay strictly sequenced, so the RNG stream, labels and
   /// budget counters are bit-identical to the unpipelined path.
+  ///
+  /// Forced inline into the one caller, each sampler's StepBatch, where the
+  /// draw/tally closures stay in registers. Left to the compiler, StepBatch
+  /// shrinks to a call, is inlined into Step() as well, and the scaffold is
+  /// emitted out of line: BM_PassiveStep measured ~4% slower per step.
   template <typename DrawFn, typename TallyFn>
-  Status BatchedSteps(int64_t n, DrawFn&& draw, TallyFn&& tally) {
+  [[gnu::always_inline]] Status BatchedSteps(int64_t n, DrawFn&& draw,
+                                             TallyFn&& tally) {
+    if (n < 0) {
+      return Status::InvalidArgument("StepBatch: n must be non-negative");
+    }
+    if (!CanBatchQueries()) {
+      for (int64_t i = 0; i < n; ++i) {
+        const int64_t item = draw(0);
+        OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
+        tally(0, item, label);
+      }
+      return Status::OK();
+    }
     if (prefetch_pool_ != nullptr && n > kQueryBatchChunk) {
       return BatchedStepsPipelined(n, draw, tally);
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "sampling/ais_estimator.h"
+
 namespace oasis {
 
 StratifiedSampler::StratifiedSampler(const ScoredPool* pool, LabelCache* labels,
@@ -38,47 +40,29 @@ Result<std::unique_ptr<StratifiedSampler>> StratifiedSampler::Create(
 Status StratifiedSampler::Step() { return StepBatch(1); }
 
 Status StratifiedSampler::StepBatch(int64_t n) {
-  if (n < 0) {
-    return Status::InvalidArgument("StepBatch: n must be non-negative");
-  }
-  // Proportional allocation: stratum ~ omega, item ~ Uniform(P_k), with
-  // invariant loads hoisted out of the loop.
+  // Proportional allocation: stratum ~ omega, item ~ Uniform(P_k). It never
+  // depends on observed labels, so BatchedSteps may pre-draw a chunk; the
+  // draw records each position's stratum for the tally. Two chunks of
+  // scratch: the pipelined scaffold double-buffers positions (and the
+  // sequential path uses position 0).
   const std::vector<double>& omega = strata_->weights();
   const uint8_t* predictions = pool().predictions.data();
-
-  if (CanBatchQueries()) {
-    // The proportional allocation never depends on observed labels, so the
-    // stratum/item draws of a whole chunk can happen up front; the draw
-    // callback records each position's stratum for the tally. Two chunks of
-    // scratch: the pipelined scaffold double-buffers positions.
-    batch_strata_.resize(static_cast<size_t>(std::min(n, 2 * kQueryBatchChunk)));
-    return BatchedSteps(
-        n,
-        [&](int64_t i) {
-          const size_t k = rng().NextDiscreteLinear(omega);
-          batch_strata_[static_cast<size_t>(i)] = k;
-          return static_cast<int64_t>(strata_->SampleItem(k, rng()));
-        },
-        [&](int64_t i, int64_t item, bool label) {
-          const size_t k = batch_strata_[static_cast<size_t>(i)];
-          const bool prediction = predictions[static_cast<size_t>(item)] != 0;
-          samples_[k] += 1.0;
-          if (label && prediction) tp_sum_[k] += 1.0;
-          if (label) pos_sum_[k] += 1.0;
-        });
-  }
-
-  // RNG-consuming oracle: preserve the exact sequential interleaving.
-  for (int64_t i = 0; i < n; ++i) {
-    const size_t k = rng().NextDiscreteLinear(omega);
-    const int64_t item = strata_->SampleItem(k, rng());
-    OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-    const bool prediction = predictions[static_cast<size_t>(item)] != 0;
-    samples_[k] += 1.0;
-    if (label && prediction) tp_sum_[k] += 1.0;
-    if (label) pos_sum_[k] += 1.0;
-  }
-  return Status::OK();
+  batch_strata_.resize(
+      static_cast<size_t>(std::clamp<int64_t>(n, 0, 2 * kQueryBatchChunk)));
+  return BatchedSteps(
+      n,
+      [&](int64_t i) {
+        const size_t k = rng().NextDiscreteLinear(omega);
+        batch_strata_[static_cast<size_t>(i)] = k;
+        return static_cast<int64_t>(strata_->SampleItem(k, rng()));
+      },
+      [&](int64_t i, int64_t item, bool label) {
+        const size_t k = batch_strata_[static_cast<size_t>(i)];
+        const bool prediction = predictions[static_cast<size_t>(item)] != 0;
+        samples_[k] += 1.0;
+        if (label && prediction) tp_sum_[k] += 1.0;
+        if (label) pos_sum_[k] += 1.0;
+      });
 }
 
 EstimateSnapshot StratifiedSampler::Estimate() const {
@@ -95,23 +79,8 @@ EstimateSnapshot StratifiedSampler::Estimate() const {
     tp += strata_->weight(k) * tp_sum_[k] / samples_[k];
     actual_pos += strata_->weight(k) * pos_sum_[k] / samples_[k];
   }
-
-  EstimateSnapshot snap;
-  if (!any_samples) return snap;
-  const double denom = alpha() * predicted_pos + (1.0 - alpha()) * actual_pos;
-  if (denom > 0.0) {
-    snap.f_alpha = tp / denom;
-    snap.f_defined = true;
-  }
-  if (predicted_pos > 0.0) {
-    snap.precision = tp / predicted_pos;
-    snap.precision_defined = true;
-  }
-  if (actual_pos > 0.0) {
-    snap.recall = tp / actual_pos;
-    snap.recall_defined = true;
-  }
-  return snap;
+  if (!any_samples) return EstimateSnapshot{};
+  return SnapshotFromSums(tp, predicted_pos, actual_pos, alpha());
 }
 
 }  // namespace oasis

@@ -15,9 +15,10 @@ namespace oasis {
 /// item uniformly within it, and estimates F_alpha with the stratified
 /// estimator: per-stratum sample means of (l * l-hat) and l are combined with
 /// the population stratum weights; the predicted-positive mass is known
-/// exactly from the pool (no labels needed). The sampling distribution equals
-/// the uniform distribution over items, i.e. it is neither adaptive nor
-/// biased — which is why the paper finds it barely beats Passive.
+/// exactly from the pool (no labels needed). The three totals then go
+/// through Eqn. (3)'s ratios (SnapshotFromSums). The sampling distribution
+/// equals the uniform distribution over items, i.e. it is neither adaptive
+/// nor biased — which is why the paper finds it barely beats Passive.
 class StratifiedSampler : public Sampler {
  public:
   /// `pool` and `labels` must outlive the sampler; `strata` is shared so that

@@ -1,4 +1,4 @@
-#include "core/ais_estimator.h"
+#include "sampling/ais_estimator.h"
 
 #include <gtest/gtest.h>
 

@@ -103,6 +103,14 @@ TEST(PoolCsvTest, ReadRejectsBadFiles) {
 
   {
     std::ofstream out(file.path());
+    out << "score,prediction\n0.25,0\n0.5abc,1\n";  // Trailing bytes.
+  }
+  const Result<LoadedPool> trailing = ReadPoolCsv(file.path());
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.status().message(), "ReadPoolCsv: bad score at line 3");
+
+  {
+    std::ofstream out(file.path());
     out << "score,prediction\n";  // Header only.
   }
   EXPECT_FALSE(ReadPoolCsv(file.path()).ok());

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ais_estimator.h"
+#include "sampling/ais_estimator.h"
 
 namespace oasis {
 namespace {

@@ -17,10 +17,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/ais_estimator.h"
 #include "core/bayesian_model.h"
 #include "core/instrumental.h"
 #include "core/oasis.h"
+#include "sampling/ais_estimator.h"
 #include "sampling/sampler.h"
 #include "stats/degeneracy.h"
 

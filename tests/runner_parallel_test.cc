@@ -11,9 +11,12 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.h"
 #include "oracle/ground_truth_oracle.h"
+#include "oracle/noisy_oracle.h"
+#include "sampling/importance.h"
 #include "strata/csf.h"
 #include "test_util.h"
 
@@ -59,6 +62,42 @@ constexpr double kGoldenOasis10[4][4] = {
     {0x1.78737a328fb3dp-5, 0x1.050df8dcbba92p-4, 0x1.50a266cf0b476p-1, 0x1p+0},
 };
 
+/// Static samplers' curves on the same pool and options, captured before
+/// their sequential fallback moved into Sampler::BatchedSteps. Stratified and
+/// IS under the GroundTruthOracle run the batched (pre-drawn chunk) branch;
+/// Passive, Stratified and IS under a NoisyOracle (10% flips, labelling
+/// consumes the RNG) run the sequential branch.
+constexpr double kGoldenStratified[4][4] = {
+    {0x1.3f79f8ceb7fa2p-4, 0x1.9c22bc2c54278p-4, 0x1.68c7263f5701p-1, 0x1p+0},
+    {0x1.88b0306ed8e43p-4, 0x1.f9ca301c0975dp-4, 0x1.49ca9d1fe5a0ap-1, 0x1p+0},
+    {0x1.43bf90ce91a4p-4, 0x1.7ed1588bd70efp-4, 0x1.5631f29bdc9ffp-1, 0x1p+0},
+    {0x1.dff3dcd66d431p-5, 0x1.23fee5e203308p-4, 0x1.60d395a7e0ebfp-1, 0x1p+0},
+};
+constexpr double kGoldenImportance[4][4] = {
+    {0x1.108f7819cdf36p-4, 0x1.73bed3208c4f5p-4, 0x1.529f9ecd2d5c5p-1, 0x1p+0},
+    {0x1.ea27c055179f6p-5, 0x1.192489a736d9cp-4, 0x1.503268c39af0ep-1, 0x1p+0},
+    {0x1.2728c526025e8p-5, 0x1.1fb29b61640f7p-5, 0x1.4e5cf29b5ea83p-1, 0x1p+0},
+    {0x1.3e4e18d013ecbp-5, 0x1.68d92c75a5583p-5, 0x1.518782a99fa31p-1, 0x1p+0},
+};
+constexpr double kGoldenNoisyPassive[4][4] = {
+    {0x1.2a42302796812p-3, 0x1.c439cbfb1e3e7p-4, 0x1.0f3ec560b3227p-1, 0x1p+0},
+    {0x1.4433ec0bf7648p-3, 0x1.44f92957dd18ep-4, 0x1.08c256679ae9ap-1, 0x1p+0},
+    {0x1.79355a1eeeaacp-3, 0x1.ada0df2dd098bp-4, 0x1.f703f5c5ba302p-2, 0x1p+0},
+    {0x1.66be4f78d2d15p-3, 0x1.4f6115caaa472p-4, 0x1.001fbd8c640e7p-1, 0x1p+0},
+};
+constexpr double kGoldenNoisyStratified[4][4] = {
+    {0x1.ee2365d921388p-3, 0x1.1b5fef34994a9p-3, 0x1.bc8cefe8a0e94p-2, 0x1p+0},
+    {0x1.ea75109cc7c06p-3, 0x1.958811137dcd9p-4, 0x1.be641a86cda54p-2, 0x1p+0},
+    {0x1.f40b92bcee114p-3, 0x1.5dd385cf74ba8p-4, 0x1.b998d976ba7cep-2, 0x1p+0},
+    {0x1.07ae48ffa95ecp-2, 0x1.49acd56bb10d3p-5, 0x1.abf059d58826cp-2, 0x1p+0},
+};
+constexpr double kGoldenNoisyImportance[4][4] = {
+    {0x1.0eaa4ce8833f6p-2, 0x1.66375b1a39e19p-3, 0x1.b685df28c8b9cp-2, 0x1p+0},
+    {0x1.1bace04b8bfbp-2, 0x1.2a16d0f4cc6p-4, 0x1.97f1c289a58a8p-2, 0x1p+0},
+    {0x1.01b885c27f8bbp-2, 0x1.1217ac09a46f4p-4, 0x1.b1e61d12b1f9dp-2, 0x1p+0},
+    {0x1.efc2f22dd8b92p-3, 0x1.08046ea216f52p-4, 0x1.bbbd29be4528fp-2, 0x1p+0},
+};
+
 void ExpectCurveMatchesGolden(const ErrorCurve& curve,
                               const double golden[4][4]) {
   ASSERT_EQ(curve.budgets.size(), 4u);
@@ -92,6 +131,47 @@ TEST(RunnerParallelTest, MatchesPreRefactorSequentialGolden) {
             .ValueOrDie();
     EXPECT_EQ(oasis.method, "OASIS-10");
     ExpectCurveMatchesGolden(oasis, kGoldenOasis10);
+  }
+}
+
+TEST(RunnerParallelTest, StaticSamplersMatchGoldenOnBothScaffoldBranches) {
+  SyntheticPool pool = GoldenPool();
+  ASSERT_EQ(pool.true_measures.f_alpha, kGoldenTrueF);
+  GroundTruthOracle oracle(pool.truth);
+  NoisyOracle noisy =
+      NoisyOracle::FromTruthWithFlipNoise(pool.truth, 0.1).ValueOrDie();
+  ASSERT_FALSE(oracle.labelling_consumes_rng());
+  ASSERT_TRUE(noisy.labelling_consumes_rng());
+  auto strata = std::make_shared<const Strata>(
+      StratifyCsf(pool.scored.scores, 10).ValueOrDie());
+  const MethodSpec stratified = MakeStratifiedSpec(0.5, strata);
+  const MethodSpec importance = MakeImportanceSpec(ImportanceOptions{});
+  const double true_f = pool.true_measures.f_alpha;
+
+  for (int threads : {1, 8}) {
+    RunnerOptions options = GoldenOptions();
+    options.num_threads = threads;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectCurveMatchesGolden(
+        RunErrorCurve(stratified, pool.scored, oracle, true_f, options)
+            .ValueOrDie(),
+        kGoldenStratified);
+    ExpectCurveMatchesGolden(
+        RunErrorCurve(importance, pool.scored, oracle, true_f, options)
+            .ValueOrDie(),
+        kGoldenImportance);
+    ExpectCurveMatchesGolden(
+        RunErrorCurve(MakePassiveSpec(0.5), pool.scored, noisy, true_f, options)
+            .ValueOrDie(),
+        kGoldenNoisyPassive);
+    ExpectCurveMatchesGolden(
+        RunErrorCurve(stratified, pool.scored, noisy, true_f, options)
+            .ValueOrDie(),
+        kGoldenNoisyStratified);
+    ExpectCurveMatchesGolden(
+        RunErrorCurve(importance, pool.scored, noisy, true_f, options)
+            .ValueOrDie(),
+        kGoldenNoisyImportance);
   }
 }
 
