@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "common/fenwick_tree.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/mass_kernel.h"
 #include "core/oasis.h"
 #include "datagen/scenario.h"
 #include "experiments/runner.h"
@@ -202,6 +204,30 @@ void BM_AliasTableBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AliasTableBuild)->Arg(1000)->Arg(100000)->Arg(1000000);
+
+/// The fused step's stratum draw alone (CertifiedMixtureDraw) over fixed
+/// prefix sums shaped like a sampler's: stratum weights summing to ~1 and v*
+/// masses spread over three orders of magnitude, at the default epsilon.
+void BM_CertifiedMixtureDraw(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(5);
+  std::vector<double> weight_prefix(n), mass_prefix(n);
+  double weight_sum = 0.0, mass_sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double weight = (0.5 + rng.NextDouble()) / static_cast<double>(n);
+    weight_sum += weight;
+    mass_sum += weight * std::pow(10.0, -3.0 * rng.NextDouble());
+    weight_prefix[i] = weight_sum;
+    mass_prefix[i] = mass_sum;
+  }
+  const double epsilon = OasisOptions{}.epsilon;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CertifiedMixtureDraw(
+        weight_prefix.data(), mass_prefix.data(), epsilon, rng.NextDouble(), n));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CertifiedMixtureDraw)->Arg(30)->Arg(1000)->Arg(100000);
 
 /// One OASIS iteration through the fused zero-allocation path (the default).
 void BM_OasisStep(benchmark::State& state) {

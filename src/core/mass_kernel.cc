@@ -92,6 +92,10 @@ double MixtureCdfKernel(const double* OASIS_RESTRICT weights,
   return acc;
 }
 
+/// Entries per block of the certified draw's search: the binary search
+/// probes one entry per block, and the block it lands in is counted whole.
+constexpr size_t kDrawBlock = 8;
+
 std::optional<size_t> CertifiedMixtureDraw(const double* weight_prefix,
                                            const double* mass_prefix,
                                            double epsilon, double u, size_t n) {
@@ -101,27 +105,50 @@ std::optional<size_t> CertifiedMixtureDraw(const double* weight_prefix,
         total <= std::numeric_limits<double>::max())) {
     return std::nullopt;
   }
-  const double keep = 1.0 - epsilon;
+  // The one division of the draw. A subnormal scale has no relative error
+  // bound, so the certificate below would not hold.
+  const double scale = (1.0 - epsilon) / total;
+  if (!(scale == 0.0 || std::isnormal(scale))) return std::nullopt;
   const auto estimate = [&](size_t i) {
-    return epsilon * weight_prefix[i] + keep * (mass_prefix[i] / total);
+    return epsilon * weight_prefix[i] + mass_prefix[i] * scale;
   };
   const double last = estimate(n - 1);
   const double margin = 3.0 * (4.0 * static_cast<double>(n) + 32.0) * 0x1p-53 *
                         std::max(1.0, last);
   if (!(last > margin)) return std::nullopt;
   const double target = u * last;
-  // First k with r_k > target (r is non-decreasing).
-  size_t k = 0;
-  size_t count = n;
-  while (count > 0) {
-    const size_t half = count / 2;
-    if (estimate(k + half) > target) {
-      count = half;
-    } else {
-      k += half + 1;
-      count -= half + 1;
-    }
+  // First k with r_k > target (r is non-decreasing). A conditional-move
+  // binary search over the blocks' last entries finds the block holding k
+  // (the last block when no earlier one ends above the target); counting the
+  // entries <= target in a window of up to eight that ends no earlier than
+  // that block gives k. The window starts at or before the block, and every
+  // entry before the block is <= target, so the count stays exact.
+  size_t block = 0;
+  for (size_t len = (n + kDrawBlock - 1) / kDrawBlock; len > 1;) {
+    const size_t half = len / 2;
+    const bool below = estimate((block + half) * kDrawBlock - 1) <= target;
+    block += below ? half : 0;
+    len -= half;
   }
+  const size_t width = std::min(n, kDrawBlock);
+  size_t i = std::min(block * kDrawBlock, n - width);
+  const size_t end = i + width;
+  size_t k = i;
+#if defined(__SSE2__)
+  // Two entries per compare; every lane rounds exactly as `estimate` does
+  // (two products, one add, no FMA).
+  const __m128d ve = _mm_set1_pd(epsilon);
+  const __m128d vs = _mm_set1_pd(scale);
+  const __m128d vt = _mm_set1_pd(target);
+  for (; i + 2 <= end; i += 2) {
+    const __m128d r =
+        _mm_add_pd(_mm_mul_pd(ve, _mm_loadu_pd(weight_prefix + i)),
+                   _mm_mul_pd(_mm_loadu_pd(mass_prefix + i), vs));
+    const int mask = _mm_movemask_pd(_mm_cmple_pd(r, vt));
+    k += static_cast<size_t>((mask & 1) + (mask >> 1));
+  }
+#endif
+  for (; i < end; ++i) k += static_cast<size_t>(estimate(i) <= target);
   if (k == n || !(estimate(k) - target > margin)) return std::nullopt;
   if (k > 0 && !(target - estimate(k - 1) > margin)) return std::nullopt;
   return k;

@@ -69,16 +69,27 @@ double MixtureCdfKernel(const double* weights, const double* v_star,
 /// (left-to-right, rounded) prefix sums of the stratum weights w_j >= 0 and
 /// of the v* masses m_j >= 0; T = P_{n-1}; `u` in [0, 1). The exact pick is
 /// the first i with c_i > fl(u * c_{n-1}), where c = MixtureCdfKernel(w, m,
-/// T, epsilon) is the reference CDF. This function instead binary-searches
-/// the estimate
+/// T, epsilon) is the reference CDF. This function instead searches the
+/// estimate
 ///
-///   r_i = epsilon * W_i + (1 - epsilon) * (P_i / T)
+///   r_i = epsilon * W_i + P_i * s,   s = (1 - epsilon) / T,
 ///
-/// for the first k with r_k > t, t = fl(u * r_{n-1}), and returns k only when
-/// both neighbours clear the margin M:
+/// with s computed once (the draw's only division), for the first k with
+/// r_k > t, t = fl(u * r_{n-1}), and returns k only when both neighbours
+/// clear the margin M:
 ///
 ///   r_k - t > M   and   (k == 0 or t - r_{k-1} > M),
 ///   M = 3 * (4n + 32) * 2^-53 * max(1, r_{n-1}).
+///
+/// The search has no branch on the data before the margin tests. From n = 8
+/// on, a conditional-move binary search over the last entries of eight-entry
+/// blocks finds the first block whose last entry exceeds t (the last block
+/// when none before it does); the entries <= t are then counted, two lanes
+/// per SSE2 compare, over the eight entries from min(block start, n - 8), and
+/// k is that start plus the count. Every entry before the block is <= t, so
+/// starting the window early (for a short last block) changes nothing. Below
+/// n = 8 all n entries are counted. At n = 30 that is two probes and four
+/// vector compares.
 ///
 /// Why a returned k is the exact pick. Write u_r = 2^-53 and
 /// gamma_j = j u_r / (1 - j u_r). Both c_i and r_i approximate the same real
@@ -87,8 +98,8 @@ double MixtureCdfKernel(const double* weights, const double* v_star,
 /// recursive-summation bound applies relative to R_{n-1}: c_i carries at
 /// most n - 1 rounded additions plus 5 roundings per term (1 - epsilon,
 /// m_j / T, the two products, the term's add), and r_i at most n - 1
-/// additions inside W_i or P_i plus 4 more (P_i / T, the two products, the
-/// add) and the one in 1 - epsilon. Hence
+/// additions inside W_i or P_i plus the same count of 5 (1 - epsilon, the
+/// division by T, the product with P_i, epsilon * W_i, the add). Hence
 ///
 ///   |c_i - R_i| <= gamma_{n+5} R_{n-1},   |r_i - R_i| <= gamma_{n+5} R_{n-1},
 ///
@@ -105,13 +116,16 @@ double MixtureCdfKernel(const double* weights, const double* v_star,
 /// the rounding of M and of the two margin subtractions (fl is monotone, so
 /// fl(a - b) > M implies a - b > M), and products that underflow (at most a
 /// few 2^-1075 of absolute error per term, far below M because
-/// max(1, r_{n-1}) >= 1).
+/// max(1, r_{n-1}) >= 1). The relative bound on s needs s to be 0 (epsilon
+/// = 1, exact) or a normal number: a subnormal s, from a T near DBL_MAX,
+/// carries up to 2^-1075 of absolute error, which P_i ~ T scales past M.
 ///
-/// r is non-decreasing in i for the same reasons as c, so the binary search
-/// finds the same k a linear scan would. Returns nullopt when n == 0, when T
-/// is not a positive normal finite number (zero, subnormal, infinite or NaN:
-/// the exact path owns the all-zero-mass fallback), when r_{n-1} <= M (or is
-/// NaN), when no r_i exceeds t, or when either margin test fails.
+/// r is non-decreasing in i for the same reasons as c, so the block search
+/// and the count find the same k a linear scan would. Returns nullopt when
+/// n == 0, when T is not a positive normal finite number (zero, subnormal,
+/// infinite or NaN: the exact path owns the all-zero-mass fallback), when s
+/// is neither 0 nor normal, when r_{n-1} <= M (or is NaN), when no r_i
+/// exceeds t, or when either margin test fails.
 ///
 /// All pointers must address at least `n` doubles.
 std::optional<size_t> CertifiedMixtureDraw(const double* weight_prefix,

@@ -8,8 +8,8 @@
 
 #include "common/logging.h"
 #include "core/initialization.h"
-#include "core/instrumental.h"
 #include "core/mass_kernel.h"
+#include "sampling/instrumental.h"
 #include "stats/transforms.h"
 #include "telemetry/telemetry.h"
 

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <string>
 
-#include "core/instrumental.h"
+#include "sampling/instrumental.h"
 #include "sampling/trajectory.h"
 #include "stats/kl_divergence.h"
 #include "stats/transforms.h"

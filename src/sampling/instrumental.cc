@@ -1,4 +1,4 @@
-#include "core/instrumental.h"
+#include "sampling/instrumental.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,5 @@
-#ifndef OASIS_CORE_INSTRUMENTAL_H_
-#define OASIS_CORE_INSTRUMENTAL_H_
+#ifndef OASIS_SAMPLING_INSTRUMENTAL_H_
+#define OASIS_SAMPLING_INSTRUMENTAL_H_
 
 #include <span>
 #include <vector>
@@ -36,4 +36,4 @@ Result<std::vector<double>> EpsilonGreedyMix(std::span<const double> weights,
 
 }  // namespace oasis
 
-#endif  // OASIS_CORE_INSTRUMENTAL_H_
+#endif  // OASIS_SAMPLING_INSTRUMENTAL_H_

@@ -2,8 +2,8 @@
 
 #include <utility>
 
-#include "core/instrumental.h"
 #include "eval/measures.h"
+#include "sampling/instrumental.h"
 
 namespace oasis {
 

@@ -169,7 +169,11 @@ TEST(MixtureCdfKernelTest, EmptyInputReturnsZero) {
 
 // --- CertifiedMixtureDraw ---------------------------------------------------
 
-constexpr size_t kDrawLengths[] = {1, 2, 3, 30, 1000};
+// Below 8 the draw counts the whole array; from 8 on it searches eight-entry
+// blocks, so the lengths straddle one, two and many block edges.
+constexpr size_t kDrawLengths[] = {1,  2,  3,  7,  8,    9,    16,
+                                   17, 30, 64, 65, 1000, 100000};
+// 1.0 makes the draw's scale (1 - epsilon) / T exactly 0: r_i = W_i.
 constexpr double kDrawEpsilons[] = {1e-3, 0.1, 1.0};
 
 /// In-order prefix sums, as OasisSampler keeps them for the weights
@@ -184,16 +188,11 @@ std::vector<double> PrefixSums(const std::vector<double>& x) {
   return prefix;
 }
 
-/// The fused step's exact pick: MixtureCdfKernel, then the first CDF entry
+/// The fused step's exact pick from MixtureCdfKernel's CDF: the first entry
 /// above u * (its total); n when none is (the exact path's slack fallback).
-size_t ExactPick(const std::vector<double>& weights,
-                 const std::vector<double>& masses, double total,
-                 double epsilon, double u) {
-  std::vector<double> cdf(weights.size());
-  const double acc = MixtureCdfKernel(weights.data(), masses.data(), total,
-                                      epsilon, cdf.data(), cdf.size());
+size_t ExactPick(const std::vector<double>& cdf, double u) {
   return static_cast<size_t>(
-      std::upper_bound(cdf.begin(), cdf.end(), u * acc) - cdf.begin());
+      std::upper_bound(cdf.begin(), cdf.end(), u * cdf.back()) - cdf.begin());
 }
 
 /// One sampler-shaped draw problem: weights, v* masses spanning many orders
@@ -222,15 +221,24 @@ struct DrawInputs {
 
   double total() const { return mass_prefix.back(); }
 
+  /// The exact path's CDF (MixtureCdfKernel over the same masses and T).
+  std::vector<double> ExactCdf(double epsilon) const {
+    std::vector<double> cdf(weights.size());
+    MixtureCdfKernel(weights.data(), masses.data(), total(), epsilon,
+                     cdf.data(), cdf.size());
+    return cdf;
+  }
+
   std::optional<size_t> Draw(double epsilon, double u) const {
     return CertifiedMixtureDraw(weight_prefix.data(), mass_prefix.data(),
                                 epsilon, u, weights.size());
   }
 
-  /// The estimate r_i the certified draw searches.
+  /// The estimate r_i the certified draw searches, in its product form
+  /// (one division, shared by every i).
   double Estimate(double epsilon, size_t i) const {
     return epsilon * weight_prefix[i] +
-           (1.0 - epsilon) * (mass_prefix[i] / total());
+           mass_prefix[i] * ((1.0 - epsilon) / total());
   }
 };
 
@@ -239,6 +247,7 @@ TEST(CertifiedMixtureDrawTest, DecidedDrawsMatchTheExactPick) {
     for (double epsilon : kDrawEpsilons) {
       for (uint64_t seed = 1; seed <= 4; ++seed) {
         const DrawInputs in(n, 1000 * n + seed);
+        const std::vector<double> cdf = in.ExactCdf(epsilon);
         Rng rng(seed);
         const int draws = 4000;
         int decided = 0;
@@ -247,7 +256,7 @@ TEST(CertifiedMixtureDrawTest, DecidedDrawsMatchTheExactPick) {
           const std::optional<size_t> k = in.Draw(epsilon, u);
           if (!k.has_value()) continue;
           ++decided;
-          ASSERT_EQ(*k, ExactPick(in.weights, in.masses, in.total(), epsilon, u))
+          ASSERT_EQ(*k, ExactPick(cdf, u))
               << "n=" << n << " epsilon=" << epsilon << " seed=" << seed
               << " u=" << u;
         }
@@ -267,7 +276,7 @@ TEST(CertifiedMixtureDrawTest, TargetsOnOrNextToACdfStepAreUndecided) {
     for (double epsilon : kDrawEpsilons) {
       const DrawInputs in(n, 77 + n);
       const double last = in.Estimate(epsilon, n - 1);
-      int landed = 0;
+      int landed = 0, skipped = 0;
       for (size_t j = 0; j < n; ++j) {
         const double r_j = in.Estimate(epsilon, j);
         // Nudge u until u * last rounds onto r_j (when some u in [0, 1) does).
@@ -275,8 +284,15 @@ TEST(CertifiedMixtureDrawTest, TargetsOnOrNextToACdfStepAreUndecided) {
         for (int step = 0; step < 8 && u * last != r_j; ++step) {
           u = u * last < r_j ? std::nextafter(u, 2.0) : std::nextafter(u, -1.0);
         }
-        if (u * last == r_j && u < 1.0) ++landed;
-        for (double probe : {std::nextafter(u, -1.0), u, std::nextafter(u, 2.0)}) {
+        const double below = std::nextafter(u, -1.0);
+        const double above = std::nextafter(u, 2.0);
+        if (u * last == r_j && u < 1.0) {
+          ++landed;
+        } else if (above < 1.0 && ((u * last < r_j && above * last > r_j) ||
+                                   (u * last > r_j && below * last < r_j))) {
+          ++skipped;
+        }
+        for (double probe : {below, u, above}) {
           if (!(probe >= 0.0 && probe < 1.0)) continue;
           EXPECT_FALSE(in.Draw(epsilon, probe).has_value())
               << "n=" << n << " epsilon=" << epsilon << " j=" << j
@@ -285,8 +301,13 @@ TEST(CertifiedMixtureDrawTest, TargetsOnOrNextToACdfStepAreUndecided) {
         }
       }
       // Every step but the last (u would be 1) is hit exactly, up to the
-      // rare flat step shared with its neighbour.
-      EXPECT_GE(landed, static_cast<int>(n) - 1 - static_cast<int>(n) / 10)
+      // rare flat step shared with its neighbour, unless no u reaches it:
+      // where one ulp of u moves u * r_{n-1} by more than one ulp of r_j,
+      // the two neighbouring u straddle r_j and are probed instead.
+      EXPECT_GE(landed + skipped,
+                static_cast<int>(n) - 1 - static_cast<int>(n) / 10)
+          << "n=" << n << " epsilon=" << epsilon;
+      EXPECT_GE(landed, static_cast<int>(n - 1) / 2)
           << "n=" << n << " epsilon=" << epsilon;
     }
   }
@@ -312,6 +333,30 @@ TEST(CertifiedMixtureDrawTest, DegenerateTotalsAreUndecided) {
   EXPECT_TRUE(draw(masses).has_value());
   EXPECT_FALSE(
       CertifiedMixtureDraw(nullptr, nullptr, 0.1, 0.5, 0).has_value());
+}
+
+TEST(CertifiedMixtureDrawTest, SubnormalScaleIsUndecided) {
+  // T near DBL_MAX is a normal total, but (1 - epsilon) / T is subnormal and
+  // has no relative error bound: the draw must defer to the exact pass. At
+  // epsilon = 1 the scale is exactly 0 and the draw still decides.
+  const size_t n = 30;
+  const std::vector<double> weight_prefix = PrefixSums(Inputs(n, 9).weights);
+  const std::vector<double> mass_prefix = PrefixSums(
+      std::vector<double>(n, std::numeric_limits<double>::max() / 64.0));
+  ASSERT_TRUE(std::isfinite(mass_prefix.back()));
+  for (double epsilon : {0.0, 1e-3, 0.1}) {
+    ASSERT_LT((1.0 - epsilon) / mass_prefix.back(),
+              std::numeric_limits<double>::min());
+    for (double u : {0.0, 0.25, 0.5, 0.99}) {
+      EXPECT_FALSE(CertifiedMixtureDraw(weight_prefix.data(),
+                                        mass_prefix.data(), epsilon, u, n)
+                       .has_value())
+          << "epsilon=" << epsilon << " u=" << u;
+    }
+  }
+  EXPECT_TRUE(CertifiedMixtureDraw(weight_prefix.data(), mass_prefix.data(),
+                                   1.0, 0.5, n)
+                  .has_value());
 }
 
 }  // namespace

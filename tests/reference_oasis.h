@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "core/bayesian_model.h"
-#include "core/instrumental.h"
 #include "core/oasis.h"
 #include "sampling/ais_estimator.h"
+#include "sampling/instrumental.h"
 #include "sampling/sampler.h"
 #include "stats/degeneracy.h"
 
