@@ -11,7 +11,7 @@ Result<InitialEstimates> InitializeFromScores(const Strata& strata,
   if (static_cast<int64_t>(strata.num_items()) != pool.size()) {
     return Status::InvalidArgument("InitializeFromScores: strata/pool size mismatch");
   }
-  if (alpha < 0.0 || alpha > 1.0) {
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {
     return Status::InvalidArgument("InitializeFromScores: alpha must be in [0, 1]");
   }
 

@@ -47,7 +47,7 @@ OasisSampler::OasisSampler(std::shared_ptr<const OasisSetup> setup,
       model_(setup_->prior),
       estimator_(options_.alpha),
       monitor_(options_.degeneracy),
-      active_epsilon_(options_.epsilon),
+      epsilon_(options_.epsilon),
       v_scratch_(strata_->num_strata()),
       pi_cache_(setup_->prior_means),
       sqrt_pi_cache_(setup_->prior_sqrt_means) {
@@ -64,7 +64,7 @@ Result<std::shared_ptr<const OasisSetup>> OasisSampler::Prepare(
   if (pool == nullptr || strata == nullptr) {
     return Status::InvalidArgument("OasisSampler: null pool/strata");
   }
-  if (options.alpha < 0.0 || options.alpha > 1.0) {
+  if (!(options.alpha >= 0.0 && options.alpha <= 1.0)) {
     return Status::InvalidArgument("OasisSampler: alpha must be in [0, 1]");
   }
   if (std::isnan(options.epsilon) || options.epsilon <= 0.0 ||
@@ -78,12 +78,6 @@ Result<std::shared_ptr<const OasisSetup>> OasisSampler::Prepare(
       options.fenwick_rebuild_tol < 0.0) {
     return Status::InvalidArgument(
         "OasisSampler: fenwick_rebuild_tol must be finite and >= 0");
-  }
-  if (options.degrade_on_degeneracy &&
-      (std::isnan(options.degraded_epsilon) || options.degraded_epsilon <= 0.0 ||
-       options.degraded_epsilon > 1.0)) {
-    return Status::InvalidArgument(
-        "OasisSampler: degraded_epsilon must lie in (0, 1]");
   }
   OASIS_RETURN_NOT_OK(strata->Validate());
 
@@ -178,9 +172,8 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::CreateWithCsf(
 
 double OasisSampler::FenwickMixtureProbability(size_t k, double total) const {
   const double omega_k = strata_->weight(k);
-  return total > 0.0 ? active_epsilon_ * omega_k +
-                           (1.0 - active_epsilon_) *
-                               (v_star_tree_.value(k) / total)
+  return total > 0.0 ? epsilon_ * omega_k +
+                           (1.0 - epsilon_) * (v_star_tree_.value(k) / total)
                      : omega_k;
 }
 
@@ -244,7 +237,7 @@ Status OasisSampler::StepFenwick() {
   // both components collapse to omega (same fallback as the other paths).
   const double total = v_star_tree_.Total();
   size_t k;
-  if (total <= 0.0 || rng().NextDouble() < active_epsilon_) {
+  if (total <= 0.0 || rng().NextDouble() < epsilon_) {
     k = weights_alias_.Sample(rng());
   } else {
     k = v_star_tree_.FindQuantile(rng().NextDouble() * total);
@@ -279,7 +272,6 @@ Status OasisSampler::Observe(size_t stratum, int64_t item, double weight) {
   if (observer_) observer_(weight, label, prediction);
   monitor_.Observe(weight);
   RecordOasisStepTelemetry(weight);
-  MaybeDegrade();
   return Status::OK();
 }
 
@@ -314,7 +306,7 @@ void OasisSampler::RefreshFusedMasses(double f) {
 double OasisSampler::FusedMixtureProbability(size_t k, double total) const {
   const double v_star = total > 0.0 ? fused_mass_[k] / total
                                     : setup_->fallback_v_star[k];
-  return active_epsilon_ * strata_->weight(k) + (1.0 - active_epsilon_) * v_star;
+  return epsilon_ * strata_->weight(k) + (1.0 - epsilon_) * v_star;
 }
 
 size_t OasisSampler::ExactFusedDraw(double u, double total) {
@@ -336,7 +328,7 @@ size_t OasisSampler::ExactFusedDraw(double u, double total) {
   double* cdf = v_scratch_.data();
   const double acc =
       MixtureCdfKernel(strata_->weights().data(), v_star, divisor,
-                       active_epsilon_, cdf, num_strata);
+                       epsilon_, cdf, num_strata);
 
   // The first index whose prefix exceeds u * total, including
   // Rng::NextDiscreteLinear's fallback to the last positive-probability
@@ -375,7 +367,7 @@ Status OasisSampler::StepFused() {
   // zero) the exact pass runs on the same u.
   const double u = rng().NextDouble();
   const std::optional<size_t> certified = CertifiedMixtureDraw(
-      setup_->weight_prefix.data(), fused_prefix_.data(), active_epsilon_, u,
+      setup_->weight_prefix.data(), fused_prefix_.data(), epsilon_, u,
       num_strata);
   const size_t k = certified ? *certified : ExactFusedDraw(u, total);
   const int64_t item = strata_->SampleItem(k, rng());
@@ -391,65 +383,7 @@ Status OasisSampler::StepFused() {
   return Status::OK();
 }
 
-void OasisSampler::MaybeDegrade() {
-  if (!options_.degrade_on_degeneracy || degraded_ || !monitor_.degenerate()) {
-    return;
-  }
-  // Graceful degradation: the weight history says the adaptive instrumental
-  // has collapsed onto a vanishing subset of draws. Boost the exploration
-  // floor — bounding every future weight by 1/active_epsilon_ — and
-  // optionally stop chasing the (evidently misleading) posterior. Estimates
-  // remain consistent: from here on the sampler still draws from a fixed,
-  // fully-supported distribution and weights against THAT distribution, so
-  // the AIS estimator keeps averaging unbiased per-draw ratios (see
-  // docs/FAULT_MODEL.md for the argument and its Delyon–Portier framing).
-  degraded_ = true;
-  if (OASIS_TELEMETRY_ON) {
-    static telemetry::Counter& entries = telemetry::DefaultRegistry().AddCounter(
-        "oasis_sampler_degraded_entries_total",
-        "Times a sampler entered degraded (boosted-epsilon) mode.");
-    entries.Increment();
-  }
-  active_epsilon_ = std::max(options_.epsilon, options_.degraded_epsilon);
-  if (options_.freeze_instrumental_on_degrade) {
-    CaptureFrozenInstrumental();
-    frozen_ = true;
-  }
-}
-
-void OasisSampler::CaptureFrozenInstrumental() {
-  const size_t num_strata = strata_->num_strata();
-  const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f), 0.0, 1.0);
-  frozen_v_.resize(num_strata);
-  double total = 0.0;
-  for (size_t k = 0; k < num_strata; ++k) {
-    frozen_v_[k] = StratumMass(k, f);
-    total += frozen_v_[k];
-  }
-  if (total <= 0.0) {
-    std::copy(strata_->weights().begin(), strata_->weights().end(),
-              frozen_v_.begin());
-    NormalizeInPlace(frozen_v_);
-  } else {
-    for (size_t k = 0; k < num_strata; ++k) frozen_v_[k] /= total;
-  }
-  for (size_t k = 0; k < num_strata; ++k) {
-    frozen_v_[k] = active_epsilon_ * strata_->weight(k) +
-                   (1.0 - active_epsilon_) * frozen_v_[k];
-  }
-}
-
-Status OasisSampler::StepFrozen() {
-  // Degraded mode: a fixed, fully-supported instrumental. The posterior and
-  // the monitor keep updating (diagnostics and a possible recovery analysis),
-  // but the sampling distribution no longer adapts.
-  const size_t k = rng().NextDiscreteLinear(frozen_v_);
-  const int64_t item = strata_->SampleItem(k, rng());
-  return Observe(k, item, strata_->weight(k) / frozen_v_[k]);
-}
-
 Status OasisSampler::Step() {
-  if (frozen_) return StepFrozen();
   switch (options_.step_path) {
     case OasisStepPath::kFenwick:
       return StepFenwick();
@@ -470,15 +404,6 @@ Status OasisSampler::StepBatch(int64_t n) {
   // algorithm. The batch win here is hoisting the path dispatch out of the
   // loop; label-level batching for the static samplers lives in their own
   // StepBatch overrides.
-  if (options_.degrade_on_degeneracy) {
-    // The degradation hook can flip the step path mid-batch; take the
-    // dispatching loop so the transition lands on the exact step the monitor
-    // fired (identical to n sequential Step() calls by construction).
-    for (int64_t i = 0; i < n; ++i) {
-      OASIS_RETURN_NOT_OK(Step());
-    }
-    return Status::OK();
-  }
   switch (options_.step_path) {
     case OasisStepPath::kFenwick:
       for (int64_t i = 0; i < n; ++i) {
@@ -521,7 +446,7 @@ Result<std::vector<double>> OasisSampler::CurrentInstrumental() const {
       std::vector<double> v_star,
       OptimalStratifiedInstrumental(strata_->weights(), setup_->lambda, pi, f_current,
                                     options_.alpha));
-  return EpsilonGreedyMix(strata_->weights(), v_star, active_epsilon_);
+  return EpsilonGreedyMix(strata_->weights(), v_star, epsilon_);
 }
 
 }  // namespace oasis

@@ -74,27 +74,9 @@ struct OasisOptions {
   /// finite and >= 0.
   double fenwick_rebuild_tol = 1e-2;
   /// Thresholds of the always-on importance-weight health monitor (see
-  /// DegeneracyMonitor; diagnostics are collected regardless of
-  /// degrade_on_degeneracy).
+  /// DegeneracyMonitor). The monitor only observes: its verdict reaches the
+  /// run summary, and no step path reacts to it.
   DegeneracyOptions degeneracy;
-  /// When true, a degenerate weight history (ESS collapse or one weight
-  /// dominating the mass) flips the sampler into a degraded mode: the
-  /// epsilon-greedy floor is boosted to degraded_epsilon and — when
-  /// freeze_instrumental_on_degrade — the instrumental distribution is
-  /// frozen at its current shape. Estimates remain consistent in either mode
-  /// because every importance weight is computed against the distribution
-  /// the draw ACTUALLY came from, which keeps full support through the
-  /// (boosted) epsilon mix — degrading trades asymptotic variance for
-  /// robustness, never correctness (see docs/FAULT_MODEL.md). Off by
-  /// default; the default path is bit-identical with the monitor running.
-  bool degrade_on_degeneracy = false;
-  /// Epsilon floor used once degraded (must lie in (0, 1] when
-  /// degrade_on_degeneracy; values below `epsilon` are clamped up to it).
-  double degraded_epsilon = 0.5;
-  /// Whether degrading also freezes the instrumental distribution (stops
-  /// adapting v(t) to the — evidently untrustworthy — posterior; the
-  /// posterior itself keeps updating for diagnostics).
-  bool freeze_instrumental_on_degrade = true;
 };
 
 /// Everything Algorithm 3 derives from the pool, the strata and the options
@@ -236,14 +218,6 @@ class OasisSampler : public Sampler {
     return &monitor_;
   }
 
-  /// Whether the graceful-degradation hook has fired (see
-  /// OasisOptions::degrade_on_degeneracy).
-  bool degraded() const { return degraded_; }
-
-  /// The epsilon floor currently in force (== options().epsilon until the
-  /// sampler degrades).
-  double active_epsilon() const { return active_epsilon_; }
-
  private:
   OasisSampler(std::shared_ptr<const OasisSetup> setup, LabelCache* labels,
                Rng rng);
@@ -266,17 +240,6 @@ class OasisSampler : public Sampler {
   double FusedMixtureProbability(size_t k, double total) const;
   /// The O(log K) Fenwick-tree iteration (OasisStepPath::kFenwick).
   Status StepFenwick();
-  /// The degraded-mode iteration: draw from the frozen instrumental
-  /// distribution, weight against it (full support — consistency holds),
-  /// keep posterior and diagnostics updating.
-  Status StepFrozen();
-  /// Fires the graceful degradation once the monitor reports a degenerate
-  /// weight history (no-op unless OasisOptions::degrade_on_degeneracy, and
-  /// once degraded).
-  void MaybeDegrade();
-  /// Snapshots the current epsilon-greedy instrumental into frozen_v_ (under
-  /// the boosted floor) for StepFrozen.
-  void CaptureFrozenInstrumental();
   /// One-time kFenwick setup: the weights alias table and the initial mass
   /// build. Called from Create() so construction can still fail cleanly.
   Status InitFenwick();
@@ -296,8 +259,7 @@ class OasisSampler : public Sampler {
   /// `weight`), updates the beta posterior and the incremental caches for
   /// that stratum (the only one whose mean can change), folds the
   /// observation into the estimator, the observer and the monitor, records
-  /// the step's telemetry and runs MaybeDegrade. A failed query returns
-  /// before any state moves.
+  /// the step's telemetry. A failed query returns before any state moves.
   Status Observe(size_t stratum, int64_t item, double weight);
 
   std::shared_ptr<const OasisSetup> setup_;
@@ -307,17 +269,11 @@ class OasisSampler : public Sampler {
   StratifiedBetaModel model_;
   AisEstimator estimator_;
   Observer observer_;
-  // --- Degeneracy state --------------------------------------------------
-  // Always-on weight health monitor; MaybeDegrade consults it per step.
+  // Always-on weight health monitor (observe-only).
   DegeneracyMonitor monitor_;
-  // Epsilon floor in force: options_.epsilon until degradation boosts it.
-  // Every step path and CurrentInstrumental read this, never options_.epsilon
-  // directly, so the boost applies uniformly.
-  double active_epsilon_ = 0.0;
-  bool degraded_ = false;
-  // When true, Step() routes to StepFrozen() over frozen_v_.
-  bool frozen_ = false;
-  std::vector<double> frozen_v_;
+  // The epsilon of the greedy mix, options_.epsilon, held by value: every
+  // step path reads it on each step.
+  const double epsilon_;
   // Scratch buffer reused across iterations to avoid per-step allocation:
   // the running CDF of v(t) that the fused step writes only when its
   // certified draw is undecided (the exact fallback), the Fenwick rebuild's
@@ -341,9 +297,8 @@ class OasisSampler : public Sampler {
   uint64_t fused_f_bits_ = 0;
   bool fused_built_ = false;
   // Stratum observed by the previous fused step (num_strata() before the
-  // first). No other path runs on a kFused sampler before the frozen mode,
-  // which never returns to StepFused, so this is the only mass that can be
-  // stale.
+  // first). No other path runs on a kFused sampler, so this is the only
+  // mass that can be stale.
   size_t fused_observed_ = 0;
   // --- Fenwick-path state ------------------------------------------------
   // Unnormalised v* masses, maintained incrementally: Update for the one

@@ -163,6 +163,7 @@ Result<ScenarioFamily> ScenarioFamilyFromName(const std::string& name) {
 }
 
 Status ScenarioSpec::Validate() const {
+  // Every range check is written so that NaN fails it.
   if (name.empty()) {
     return Status::InvalidArgument("ScenarioSpec: name must not be empty");
   }
@@ -170,23 +171,23 @@ Status ScenarioSpec::Validate() const {
     return Status::InvalidArgument("ScenarioSpec '" + name +
                                    "': pool_size must be positive");
   }
-  if (alpha < 0.0 || alpha > 1.0) {
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {
     return Status::InvalidArgument("ScenarioSpec '" + name +
                                    "': alpha must lie in [0, 1]");
   }
-  if (match_rate < 0.0 || match_rate > 1.0) {
+  if (!(match_rate >= 0.0 && match_rate <= 1.0)) {
     return Status::InvalidArgument("ScenarioSpec '" + name +
                                    "': match_rate must lie in [0, 1]");
   }
-  if (classifier_recall < 0.0 || classifier_recall > 1.0) {
+  if (!(classifier_recall >= 0.0 && classifier_recall <= 1.0)) {
     return Status::InvalidArgument("ScenarioSpec '" + name +
                                    "': classifier_recall must lie in [0, 1]");
   }
-  if (classifier_precision < 0.0 || classifier_precision > 1.0) {
+  if (!(classifier_precision >= 0.0 && classifier_precision <= 1.0)) {
     return Status::InvalidArgument(
         "ScenarioSpec '" + name + "': classifier_precision must lie in [0, 1]");
   }
-  if (skew_exponent <= 0.0) {
+  if (!(skew_exponent > 0.0)) {
     return Status::InvalidArgument("ScenarioSpec '" + name +
                                    "': skew_exponent must be positive");
   }
@@ -194,7 +195,7 @@ Status ScenarioSpec::Validate() const {
     return Status::InvalidArgument("ScenarioSpec '" + name +
                                    "': clusters_per_band must be positive");
   }
-  if (flip_rate < 0.0 || flip_rate >= 0.5) {
+  if (!(flip_rate >= 0.0 && flip_rate < 0.5)) {
     return Status::InvalidArgument("ScenarioSpec '" + name +
                                    "': flip_rate must lie in [0, 0.5)");
   }
@@ -203,7 +204,7 @@ Status ScenarioSpec::Validate() const {
         "ScenarioSpec '" + name +
         "': flip_rate > 0 requires the noisy-oracle family");
   }
-  if (verify_tolerance <= 0.0 || verify_tolerance > 1.0) {
+  if (!(verify_tolerance > 0.0 && verify_tolerance <= 1.0)) {
     return Status::InvalidArgument("ScenarioSpec '" + name +
                                    "': verify_tolerance must lie in (0, 1]");
   }

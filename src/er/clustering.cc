@@ -90,7 +90,7 @@ Result<Measures> PairwiseMeasuresFromClusterings(const Clustering& truth,
     return Status::InvalidArgument(
         "PairwiseMeasuresFromClusterings: item-count mismatch or empty");
   }
-  if (alpha < 0.0 || alpha > 1.0) {
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {
     return Status::InvalidArgument(
         "PairwiseMeasuresFromClusterings: alpha must be in [0, 1]");
   }

@@ -128,8 +128,9 @@ class OracleStackBuilder {
   OracleStackBuilder& ForkSeeds(uint64_t stream);
 
   /// Builds the stack over `base` (non-null; must outlive the stack).
-  /// Validates the layer options (the decorators check their own invariants)
-  /// and the sharing prerequisites. The returned stack owns its decorators;
+  /// Validates the sharing prerequisites and every layer option the
+  /// decorators' constructors check, returning InvalidArgument that names
+  /// the option (and its `stack_` config key) instead of aborting. The returned stack owns its decorators;
   /// moving it keeps every layer address stable.
   Result<OracleStack> Build(const Oracle* base) const;
 

@@ -28,7 +28,7 @@ Result<std::unique_ptr<ImportanceSampler>> ImportanceSampler::Create(
     return Status::InvalidArgument("ImportanceSampler: null pool or labels");
   }
   OASIS_RETURN_NOT_OK(pool->Validate());
-  if (options.alpha < 0.0 || options.alpha > 1.0) {
+  if (!(options.alpha >= 0.0 && options.alpha <= 1.0)) {
     return Status::InvalidArgument("ImportanceSampler: alpha must be in [0, 1]");
   }
   if (options.uniform_mix < 0.0 || options.uniform_mix > 1.0) {

@@ -62,9 +62,8 @@ class ImportanceSampler : public Sampler {
   /// Score-based initial guess of F_alpha used to build the distribution.
   double initial_f_guess() const { return f_guess_; }
 
-  /// The importance-weight health monitor. Static IS cannot degrade
-  /// gracefully (there is nothing to adapt), but the diagnostics make its
-  /// weight collapse under mis-calibrated scores observable per checkpoint —
+  /// The importance-weight health monitor. It makes static IS's weight
+  /// collapse under mis-calibrated scores observable per checkpoint —
   /// exactly the failure mode Figure 3 quantifies.
   const DegeneracyMonitor* degeneracy_monitor() const override {
     return &monitor_;

@@ -17,7 +17,7 @@ Result<std::vector<double>> OptimalStratifiedInstrumental(
   if (lambda.size() != k || pi.size() != k) {
     return Status::InvalidArgument("OptimalStratifiedInstrumental: length mismatch");
   }
-  if (alpha < 0.0 || alpha > 1.0) {
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {
     return Status::InvalidArgument("OptimalStratifiedInstrumental: alpha in [0,1]");
   }
   if (std::isnan(f_measure)) {

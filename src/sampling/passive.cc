@@ -12,7 +12,7 @@ Result<std::unique_ptr<PassiveSampler>> PassiveSampler::Create(
     return Status::InvalidArgument("PassiveSampler: null pool or labels");
   }
   OASIS_RETURN_NOT_OK(pool->Validate());
-  if (alpha < 0.0 || alpha > 1.0) {
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {
     return Status::InvalidArgument("PassiveSampler: alpha must be in [0, 1]");
   }
   return std::unique_ptr<PassiveSampler>(

@@ -26,7 +26,7 @@ Result<std::unique_ptr<StratifiedSampler>> StratifiedSampler::Create(
     return Status::InvalidArgument("StratifiedSampler: null pool/labels/strata");
   }
   OASIS_RETURN_NOT_OK(pool->Validate());
-  if (alpha < 0.0 || alpha > 1.0) {
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {
     return Status::InvalidArgument("StratifiedSampler: alpha must be in [0, 1]");
   }
   if (static_cast<int64_t>(strata->num_items()) != pool->size()) {

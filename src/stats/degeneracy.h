@@ -30,10 +30,9 @@ struct DegeneracyOptions {
 /// sampling degeneracy (weights concentrating on a vanishing subset of
 /// draws; see docs/FAULT_MODEL.md for the estimator-consistency discussion).
 ///
-/// Samplers feed every accepted observation's weight through Observe() and
-/// may react to degenerate() (OASIS boosts its epsilon-greedy floor and can
-/// freeze its instrumental distribution — OasisOptions::degrade_on_degeneracy).
-/// Harnesses read ess() per checkpoint for trajectories and CSV output.
+/// Samplers feed every accepted observation's weight through Observe(); no
+/// sampler reacts to degenerate(). Harnesses read ess() per checkpoint for
+/// trajectories and CSV output, and the run summary carries the verdict.
 /// Plain value type, one per sampler; not thread-safe (samplers are
 /// single-threaded by contract).
 class DegeneracyMonitor {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace oasis {
 namespace er {
@@ -91,6 +92,7 @@ TEST(PairwiseMeasuresTest, RejectsMismatch) {
   Clustering b = ClusterFromPairs(4, {}).ValueOrDie();
   EXPECT_FALSE(PairwiseMeasuresFromClusterings(a, b).ok());
   EXPECT_FALSE(PairwiseMeasuresFromClusterings(a, a, 1.5).ok());
+  EXPECT_FALSE(PairwiseMeasuresFromClusterings(a, a, std::nan("")).ok());
 }
 
 TEST(ExactClusterAgreementTest, CountsExactRecovery) {

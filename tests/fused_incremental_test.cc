@@ -1,10 +1,11 @@
 // Bit-identity of the incremental fused OASIS step against the allocating
-// reference sampler (tests/reference_oasis.h). The fused step keeps its v* masses and their prefix sums
-// across steps and recomputes only the previously observed stratum while
-// F-hat is bit-for-bit unchanged; these tests step both paths side by side
-// and demand the same stratum, weight and estimate at every step — across
-// steps where F-hat moves and steps where it does not, at K = 1, 30 and 1000,
-// through the all-zero mass fallback, and across a degradation epsilon boost.
+// reference sampler (tests/reference_oasis.h). The fused step keeps its v*
+// masses and their prefix sums across steps and recomputes only the
+// previously observed stratum while F-hat is bit-for-bit unchanged; these
+// tests step both paths side by side and demand the same stratum, weight and
+// estimate at every step — across steps where F-hat moves and steps where it
+// does not, at epsilon = 1e-3, 0.6 and 1, at K = 1, 30 and 1000, and through
+// the all-zero mass fallback.
 
 #include <gtest/gtest.h>
 
@@ -138,25 +139,33 @@ TEST(FusedIncrementalTest, MatchesReferenceWhetherOrNotFHatMoves) {
       StratifyCsf(pool.scored.scores, 30).ValueOrDie());
 
   telemetry::ScopedEnable telemetry_on(true);
-  const int64_t exact_before = ExactDraws();
-  FusedProbe fused =
-      MakeProbe<OasisSampler>(pool.scored, oracle, strata, OasisOptions{}, 31);
-  ReferenceProbe reference = MakeProbe<ReferenceOasisSampler>(
-      pool.scored, oracle, strata, OasisOptions{}, 31);
-  const StepCounts counts = StepSideBySide(fused, reference, 2000);
-  // Both branches of the fused refresh must have been exercised.
-  EXPECT_GT(counts.f_unchanged, 100);
-  EXPECT_GT(counts.f_changed, 100);
+  // The paper's greedy default, a mix weighted towards the stratum weights,
+  // and the pure weights draw (where v* no longer matters to the draw).
+  for (double epsilon : {1e-3, 0.6, 1.0}) {
+    SCOPED_TRACE(epsilon);
+    OasisOptions options;
+    options.epsilon = epsilon;
+    const int64_t exact_before = ExactDraws();
+    FusedProbe fused =
+        MakeProbe<OasisSampler>(pool.scored, oracle, strata, options, 31);
+    ReferenceProbe reference = MakeProbe<ReferenceOasisSampler>(
+        pool.scored, oracle, strata, options, 31);
+    const StepCounts counts = StepSideBySide(fused, reference, 2000);
+    // Both branches of the fused refresh must have been exercised.
+    EXPECT_GT(counts.f_unchanged, 100);
+    EXPECT_GT(counts.f_changed, 100);
 
-  // StepBatch runs the same fused step without the per-call dispatch.
-  ASSERT_TRUE(fused.sampler->StepBatch(777).ok());
-  ASSERT_TRUE(reference.sampler->StepBatch(777).ok());
-  ExpectSnapshotsIdentical(fused.sampler->Estimate(),
-                           reference.sampler->Estimate());
-  EXPECT_EQ(fused.sampler->labels_consumed(),
-            reference.sampler->labels_consumed());
-  // The certified draw, not its exact fallback, decided (almost) every step.
-  EXPECT_LE(ExactDraws() - exact_before, 3);
+    // StepBatch runs the same fused step without the per-call dispatch.
+    ASSERT_TRUE(fused.sampler->StepBatch(777).ok());
+    ASSERT_TRUE(reference.sampler->StepBatch(777).ok());
+    ExpectSnapshotsIdentical(fused.sampler->Estimate(),
+                             reference.sampler->Estimate());
+    EXPECT_EQ(fused.sampler->labels_consumed(),
+              reference.sampler->labels_consumed());
+    // The certified draw, not its exact fallback, decided (almost) every
+    // step.
+    EXPECT_LE(ExactDraws() - exact_before, 3);
+  }
 }
 
 TEST(FusedIncrementalTest, MatchesReferenceAtOneAndAThousandStrata) {
@@ -228,44 +237,6 @@ TEST(FusedIncrementalTest, AllZeroMassFallbackMatchesReference) {
   for (size_t k = 0; k < v.size(); ++k) {
     EXPECT_NEAR(v[k], strata->weight(k), 1e-15);
   }
-}
-
-TEST(FusedIncrementalTest, DegradationEpsilonBoostMatchesReference) {
-  testutil::SyntheticPoolOptions pool_options;
-  pool_options.size = 4000;
-  pool_options.seed = 77;
-  const testutil::SyntheticPool pool = testutil::MakeSyntheticPool(pool_options);
-  GroundTruthOracle oracle(pool.truth);
-  auto strata = std::make_shared<const Strata>(
-      StratifyCsf(pool.scored.scores, 25).ValueOrDie());
-
-  OasisOptions options;
-  options.degrade_on_degeneracy = true;
-  options.degraded_epsilon = 0.6;
-  // Boost epsilon but keep adapting, so the fused step keeps running.
-  options.freeze_instrumental_on_degrade = false;
-  // Sensitive thresholds so the monitor fires within a short run.
-  options.degeneracy.min_observations = 64;
-  options.degeneracy.ess_floor_fraction = 0.9;
-  options.degeneracy.tail_mass_ceiling = 2.0;
-  FusedProbe fused =
-      MakeProbe<OasisSampler>(pool.scored, oracle, strata, options, 11);
-  ReferenceProbe reference = MakeProbe<ReferenceOasisSampler>(
-      pool.scored, oracle, strata, options, 11);
-
-  int steps = 0;
-  while (!fused.sampler->degraded() && steps < 4000 && !HasFailure()) {
-    StepSideBySide(fused, reference, 1);
-    ++steps;
-  }
-  ASSERT_TRUE(fused.sampler->degraded());
-  ASSERT_TRUE(reference.sampler->degraded());
-  EXPECT_EQ(fused.sampler->active_epsilon(), 0.6);
-  // After the boost the fused path keeps stepping on its maintained masses,
-  // through both refresh branches.
-  const StepCounts counts = StepSideBySide(fused, reference, 1000);
-  EXPECT_GT(counts.f_unchanged, 50);
-  EXPECT_GT(counts.f_changed, 50);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "oracle/ground_truth_oracle.h"
 #include "stats/transforms.h"
 #include "test_util.h"
@@ -32,6 +34,8 @@ TEST(ImportanceSamplerTest, RejectsBadOptions) {
   LabelCache labels(&oracle);
   ImportanceOptions bad;
   bad.alpha = 1.2;
+  EXPECT_FALSE(ImportanceSampler::Create(&pool.scored, &labels, bad, Rng(1)).ok());
+  bad.alpha = std::nan("");
   EXPECT_FALSE(ImportanceSampler::Create(&pool.scored, &labels, bad, Rng(1)).ok());
   bad = ImportanceOptions{};
   bad.uniform_mix = -0.1;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "stats/transforms.h"
@@ -95,6 +96,7 @@ TEST(InitializationTest, RejectsBadAlpha) {
   Fixture fx = MakeFixture(true);
   EXPECT_FALSE(InitializeFromScores(fx.strata, fx.pool, -0.1).ok());
   EXPECT_FALSE(InitializeFromScores(fx.strata, fx.pool, 1.1).ok());
+  EXPECT_FALSE(InitializeFromScores(fx.strata, fx.pool, std::nan("")).ok());
 }
 
 TEST(InitializationTest, FGuessBoundedInUnitInterval) {

@@ -17,6 +17,8 @@ TEST(OptimalInstrumentalTest, RejectsBadArguments) {
       OptimalStratifiedInstrumental(w, lambda, std::vector<double>{0.1}, 0.5, 0.5)
           .ok());
   EXPECT_FALSE(OptimalStratifiedInstrumental(w, lambda, pi, 0.5, 1.5).ok());
+  EXPECT_FALSE(
+      OptimalStratifiedInstrumental(w, lambda, pi, 0.5, std::nan("")).ok());
   const std::vector<double> bad_pi{0.1, 1.9};
   EXPECT_FALSE(OptimalStratifiedInstrumental(w, lambda, bad_pi, 0.5, 0.5).ok());
 }

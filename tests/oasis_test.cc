@@ -41,6 +41,8 @@ TEST(OasisSamplerTest, RejectsBadArguments) {
   bad = OasisOptions{};
   bad.alpha = -0.2;
   EXPECT_FALSE(OasisSampler::Create(&pool.scored, &labels, strata, bad, Rng(1)).ok());
+  bad.alpha = std::nan("");  // Must fail the check, not reach a CHECK.
+  EXPECT_FALSE(OasisSampler::Create(&pool.scored, &labels, strata, bad, Rng(1)).ok());
 }
 
 TEST(OasisSamplerTest, DefaultPriorStrengthIsTwoK) {

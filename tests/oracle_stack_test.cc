@@ -164,6 +164,74 @@ TEST(OracleStackBuilder, ShareLabelsRequiresARemoteLayer) {
   EXPECT_FALSE(OracleStackBuilder().Build(nullptr).ok());
 }
 
+/// `text` (config lines) with the value of `key` replaced by `value`.
+std::string WithValue(const std::string& text, const std::string& key,
+                      const std::string& value) {
+  const std::string prefix = key + " = ";
+  const size_t begin = text.find(prefix);
+  EXPECT_NE(begin, std::string::npos) << key;
+  const size_t end = text.find('\n', begin);
+  return text.substr(0, begin) + prefix + value + text.substr(end);
+}
+
+/// Builds the stack of the config `text` describes over `base`.
+Result<OracleStack> BuildFromConfig(const std::string& text,
+                                    const Oracle& base) {
+  const experiments::ConfigMap config =
+      experiments::ConfigMap::Parse(text).ValueOrDie();
+  return OracleStackBuilder(
+             experiments::StackSpecFromConfig(config, "stack_").ValueOrDie())
+      .Build(&base);
+}
+
+// Every option the three decorators' constructors check, set out of range
+// (and to NaN where it is a double) through its config key: Build returns
+// InvalidArgument naming that key instead of aborting, and the boundary
+// values on the valid side still build.
+TEST(OracleStackBuilder, RejectsEveryOutOfRangeOptionByName) {
+  const testutil::SyntheticPool pool = SmallPool();
+  GroundTruthOracle base(pool.truth);
+  std::string text;
+  experiments::AppendStackSpecConfig(FullSpec(), "stack_", &text);
+  ASSERT_TRUE(BuildFromConfig(text, base).ok());
+
+  struct Case {
+    const char* key;
+    std::vector<const char*> bad;
+    const char* boundary;
+  };
+  const std::vector<Case> cases = {
+      {"stack_fault_transient_rate", {"-0.25", "1.5", "nan"}, "1"},
+      {"stack_fault_timeout_rate", {"-0.25", "1.5", "nan"}, "1"},
+      {"stack_fault_item_drop_rate", {"-0.25", "1.5", "nan"}, "1"},
+      {"stack_remote_round_trip_seconds", {"-1", "nan"}, "0"},
+      {"stack_remote_per_item_seconds", {"-1", "nan"}, "0"},
+      {"stack_remote_cost_per_label", {"-1", "nan"}, "0"},
+      {"stack_remote_jitter_fraction", {"-0.25", "1", "nan"}, "0"},
+      {"stack_remote_max_items_per_trip", {"-1"}, "0"},
+      {"stack_retry_max_attempts", {"0", "-3"}, "1"},
+      {"stack_retry_initial_backoff_seconds", {"-1", "nan"}, "0"},
+      {"stack_retry_backoff_multiplier", {"0.5", "nan"}, "1"},
+      {"stack_retry_max_backoff_seconds", {"-1", "nan"}, "0"},
+      {"stack_retry_jitter_fraction", {"-0.25", "1", "nan"}, "0"},
+      {"stack_retry_per_attempt_timeout_seconds", {"-1", "nan"}, "0"},
+      {"stack_retry_overall_deadline_seconds", {"-1", "nan"}, "0"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.key);
+    for (const char* value : c.bad) {
+      SCOPED_TRACE(value);
+      const Result<OracleStack> built =
+          BuildFromConfig(WithValue(text, c.key, value), base);
+      ASSERT_FALSE(built.ok());
+      EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(built.status().message().find(c.key), std::string::npos)
+          << built.status().message();
+    }
+    EXPECT_TRUE(BuildFromConfig(WithValue(text, c.key, c.boundary), base).ok());
+  }
+}
+
 TEST(OracleStackBuilder, StackSpecConfigRoundTripsValueExactly) {
   const StackSpec spec = FullSpec();
   std::string text;

@@ -22,6 +22,8 @@ TEST(PassiveSamplerTest, RejectsBadArguments) {
   EXPECT_FALSE(PassiveSampler::Create(&pool.scored, nullptr, 0.5, Rng(1)).ok());
   EXPECT_FALSE(PassiveSampler::Create(&pool.scored, &labels, 1.5, Rng(1)).ok());
   EXPECT_FALSE(PassiveSampler::Create(&pool.scored, &labels, -0.1, Rng(1)).ok());
+  EXPECT_FALSE(
+      PassiveSampler::Create(&pool.scored, &labels, std::nan(""), Rng(1)).ok());
 }
 
 TEST(PassiveSamplerTest, UndefinedUntilFirstPositive) {

@@ -10,7 +10,6 @@
 // seeded reference sampler over the same setup draw the same strata, weigh
 // them the same and report the same estimates at every step.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,26 +21,18 @@
 #include "sampling/ais_estimator.h"
 #include "sampling/instrumental.h"
 #include "sampling/sampler.h"
-#include "stats/degeneracy.h"
 
 namespace oasis {
 namespace testutil {
 
 class ReferenceOasisSampler : public Sampler {
  public:
-  /// Builds a reference sampler over a prepared setup. The degradation
-  /// epsilon boost is modelled; freezing the instrumental on degradation
-  /// is not, so that combination is rejected rather than run differently.
+  /// Builds a reference sampler over a prepared setup.
   static Result<std::unique_ptr<ReferenceOasisSampler>> Create(
       std::shared_ptr<const OasisSetup> setup, LabelCache* labels, Rng rng) {
     if (setup == nullptr || labels == nullptr) {
       return Status::InvalidArgument(
           "ReferenceOasisSampler: null setup/labels");
-    }
-    if (setup->options.degrade_on_degeneracy &&
-        setup->options.freeze_instrumental_on_degrade) {
-      return Status::InvalidArgument(
-          "ReferenceOasisSampler: frozen degraded mode is not modelled");
     }
     return std::unique_ptr<ReferenceOasisSampler>(
         new ReferenceOasisSampler(std::move(setup), labels, rng));
@@ -60,7 +51,7 @@ class ReferenceOasisSampler : public Sampler {
                                       f_current, setup_->options.alpha));
     OASIS_ASSIGN_OR_RETURN(
         const std::vector<double> v,
-        EpsilonGreedyMix(strata.weights(), v_star, active_epsilon_));
+        EpsilonGreedyMix(strata.weights(), v_star, setup_->options.epsilon));
 
     // Lines 4-5: stratum ~ v(t), item uniform within the stratum.
     const size_t k = rng().NextDiscreteLinear(v);
@@ -77,8 +68,6 @@ class ReferenceOasisSampler : public Sampler {
     model_.Observe(k, label);
     estimator_.Add(weight, label, prediction);
     if (observer_) observer_(weight, label, prediction);
-    monitor_.Observe(weight);
-    MaybeDegrade();
     return Status::OK();
   }
 
@@ -94,7 +83,6 @@ class ReferenceOasisSampler : public Sampler {
   std::vector<double> PosteriorMeans() const { return model_.PosteriorMeans(); }
   const StratifiedBetaModel& model() const { return model_; }
   const Strata& strata() const { return *setup_->strata; }
-  bool degraded() const { return degraded_; }
 
  private:
   ReferenceOasisSampler(std::shared_ptr<const OasisSetup> setup,
@@ -102,28 +90,12 @@ class ReferenceOasisSampler : public Sampler {
       : Sampler(setup->pool, labels, setup->options.alpha, rng),
         setup_(std::move(setup)),
         model_(setup_->prior),
-        estimator_(setup_->options.alpha),
-        monitor_(setup_->options.degeneracy),
-        active_epsilon_(setup_->options.epsilon) {}
-
-  /// OasisSampler::MaybeDegrade without the frozen mode: once the monitor
-  /// reports a degenerate weight history, boost the epsilon floor.
-  void MaybeDegrade() {
-    const OasisOptions& options = setup_->options;
-    if (!options.degrade_on_degeneracy || degraded_ || !monitor_.degenerate()) {
-      return;
-    }
-    degraded_ = true;
-    active_epsilon_ = std::max(options.epsilon, options.degraded_epsilon);
-  }
+        estimator_(setup_->options.alpha) {}
 
   std::shared_ptr<const OasisSetup> setup_;
   StratifiedBetaModel model_;
   AisEstimator estimator_;
-  DegeneracyMonitor monitor_;
   OasisSampler::Observer observer_;
-  double active_epsilon_;
-  bool degraded_ = false;
 };
 
 }  // namespace testutil

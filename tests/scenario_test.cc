@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -236,6 +237,40 @@ TEST(ScenarioTest, ValidateRejectsBrokenSpecs) {
   ScenarioSpec bad_flip = ScenarioByName("noisy-flip05").ValueOrDie();
   bad_flip.flip_rate = 0.7;
   EXPECT_FALSE(bad_flip.Validate().ok());
+}
+
+// A NaN in any double knob fails Validate (and so FromConfig and
+// GenerateScenario) with a message naming the knob, instead of passing every
+// range check and reaching a CHECK or a verify tolerance nothing can meet.
+TEST(ScenarioTest, ValidateRejectsNanInEveryDoubleField) {
+  const std::vector<std::pair<const char*, double ScenarioSpec::*>> fields = {
+      {"alpha", &ScenarioSpec::alpha},
+      {"match_rate", &ScenarioSpec::match_rate},
+      {"classifier_recall", &ScenarioSpec::classifier_recall},
+      {"classifier_precision", &ScenarioSpec::classifier_precision},
+      {"skew_exponent", &ScenarioSpec::skew_exponent},
+      {"flip_rate", &ScenarioSpec::flip_rate},
+      {"verify_tolerance", &ScenarioSpec::verify_tolerance},
+  };
+  for (const auto& [name, field] : fields) {
+    SCOPED_TRACE(name);
+    ScenarioSpec spec = ScenarioByName("stripe-f90").ValueOrDie();
+    ASSERT_TRUE(spec.Validate().ok());
+    spec.*field = std::nan("");
+    const Status status = spec.Validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(name), std::string::npos)
+        << status.message();
+
+    // The same through a scenario file.
+    auto config =
+        experiments::ConfigMap::Parse(spec.ToConfigString()).ValueOrDie();
+    const auto parsed = ScenarioSpec::FromConfig(config);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find(name), std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 TEST(ScenarioTest, ByNameListsKnownNamesOnMiss) {

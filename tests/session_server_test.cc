@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -382,6 +383,38 @@ TEST(SessionServer, ProtocolErrorsBecomeErrorReplies) {
   EXPECT_FALSE(client.Start(bad).ok());
   // The manager survived all of it.
   EXPECT_EQ(manager.ActiveSessions(), 0);
+}
+
+// A start_session whose oracle stack carries an out-of-range option gets an
+// error reply naming the option's key; the server does not abort, and the
+// same manager then serves a valid session to completion.
+TEST(SessionServer, BadStackStartIsAnErrorReplyAndTheServerCarriesOn) {
+  SessionManager manager;
+  InProcessTransport transport(&manager);
+  ServiceClient client(&transport);
+
+  SessionSpec bad = MakeSpec("oasis", 100, 50, 0);
+  RetryPolicy retry;
+  retry.max_attempts = 0;
+  bad.stack.retry = retry;
+  const Result<int64_t> rejected = client.Start(bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("stack_retry_max_attempts"),
+            std::string::npos)
+      << rejected.status().message();
+  bad.stack.retry.reset();
+  FaultInjectionOptions fault;
+  fault.transient_failure_rate = std::numeric_limits<double>::quiet_NaN();
+  bad.stack.fault_injection = fault;
+  EXPECT_EQ(client.Start(bad).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.ActiveSessions(), 0);
+
+  const int64_t id = client.Start(MakeSpec("oasis", 100, 50, 0)).ValueOrDie();
+  const LabelArrived arrived = client.RequestLabels(id, 100).ValueOrDie();
+  EXPECT_TRUE(arrived.report.done);
+  EXPECT_EQ(arrived.report.labels_consumed, 100);
+  EXPECT_TRUE(client.Close(id).ok());
 }
 
 // A deterministic scenario oracle charges each item once, so a budget one

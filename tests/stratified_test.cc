@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "oracle/ground_truth_oracle.h"
@@ -30,6 +31,9 @@ TEST(StratifiedSamplerTest, RejectsBadArguments) {
       StratifiedSampler::Create(&pool.scored, &labels, nullptr, 0.5, Rng(1)).ok());
   EXPECT_FALSE(
       StratifiedSampler::Create(&pool.scored, &labels, strata, 2.0, Rng(1)).ok());
+  EXPECT_FALSE(StratifiedSampler::Create(&pool.scored, &labels, strata,
+                                         std::nan(""), Rng(1))
+                   .ok());
 
   // Mismatched strata (built over a different pool size).
   SyntheticPoolOptions small;
