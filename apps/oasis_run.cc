@@ -59,7 +59,7 @@ Result<int64_t> RunFromConfig(const std::string& config_path,
   OASIS_RETURN_NOT_OK(config.CheckAllKeysUsed());
   // CLI overrides beat the config file (shared --threads/--seed semantics).
   if (flags.threads.has_value()) {
-    run_options.num_threads = static_cast<int>(*flags.threads);
+    run_options.num_threads = *flags.threads;
   }
   if (flags.seed.has_value()) run_options.seed = *flags.seed;
 

@@ -63,10 +63,8 @@ Result<ServeStats> ServeFromConfig(const std::string& config_path,
                          experiments::ScenarioRunOptions::FromConfig(config));
   // `sessions` is the serve-native spelling of `repeats`; the batch alias
   // keeps one config file valid for both oasis_run and oasis_serve.
-  OASIS_ASSIGN_OR_RETURN(
-      const int64_t sessions,
-      config.GetInt64Or("sessions", options.repeats));
-  options.repeats = static_cast<int>(sessions);
+  OASIS_ASSIGN_OR_RETURN(options.repeats,
+                         config.GetIntOr("sessions", options.repeats));
   OASIS_ASSIGN_OR_RETURN(const int64_t request_slice,
                          config.GetInt64Or("request_slice", 0));
   if (request_slice < 0) {
@@ -84,7 +82,7 @@ Result<ServeStats> ServeFromConfig(const std::string& config_path,
   }
   // CLI overrides beat the config file (shared --threads/--seed semantics).
   if (flags.threads.has_value()) {
-    options.num_threads = static_cast<int>(*flags.threads);
+    options.num_threads = *flags.threads;
   }
   if (flags.seed.has_value()) options.seed = *flags.seed;
   OASIS_RETURN_NOT_OK(options.Validate());

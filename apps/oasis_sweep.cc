@@ -79,7 +79,7 @@ Result<SweepOutcome> RunSweep(const std::string& config_path,
   OASIS_RETURN_NOT_OK(config.CheckAllKeysUsed());
   // CLI overrides beat the config file (shared --threads/--seed semantics).
   if (flags.threads.has_value()) {
-    base_options.num_threads = static_cast<int>(*flags.threads);
+    base_options.num_threads = *flags.threads;
   }
   if (flags.seed.has_value()) base_options.seed = *flags.seed;
 

@@ -24,7 +24,6 @@
 #include "common/logging.h"
 #include "common/fenwick_tree.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/mass_kernel.h"
 #include "core/oasis.h"
 #include "datagen/scenario.h"
@@ -483,39 +482,6 @@ void BM_RemoteOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_RemoteOracle)->Arg(1)->Arg(64)->Arg(256);
 
-/// Same workload with the AsyncLabelPipeline engaged (SetPrefetchPool over a
-/// 2-worker pool): bounds the pipeline's real-time overhead — results are
-/// bit-identical to BM_RemoteOracle at the same batch size, only wall-clock
-/// may differ.
-void BM_RemoteOraclePrefetch(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  constexpr int64_t kRemoteLabels = 2048;
-  static BenchPool* pool = new BenchPool(MakePool(100000));
-  static GroundTruthOracle* inner = new GroundTruthOracle(pool->truth);
-  RemoteOracleOptions remote_options;
-  remote_options.round_trip_seconds = 30.0;
-  remote_options.per_item_seconds = 12.0;
-  remote_options.cost_per_label = 0.05;
-  ThreadPool prefetch_pool(2);
-
-  for (auto _ : state) {
-    RemoteOracle remote(inner, remote_options);
-    LabelCache cache(&remote);
-    auto sampler = ImportanceSampler::Create(&pool->scored, &cache,
-                                             ImportanceOptions{}, Rng(12))
-                       .ValueOrDie();
-    sampler->SetPrefetchPool(&prefetch_pool);
-    for (int64_t done = 0; done < kRemoteLabels; done += batch) {
-      benchmark::DoNotOptimize(
-          sampler->StepBatch(std::min(batch, kRemoteLabels - done)).ok());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kRemoteLabels);
-  state.counters["batch"] = static_cast<double>(batch);
-  state.SetLabel("batch=" + std::to_string(batch) + " prefetch");
-}
-BENCHMARK(BM_RemoteOraclePrefetch)->Arg(2048);
-
 /// Happy-path cost of the fault-tolerant oracle stack: an ImportanceSampler
 /// labels kRetryLabels items in 256-item batches against three stacks of
 /// increasing depth — range(0) = 0: bare GroundTruthOracle (infallible fast
@@ -649,10 +615,10 @@ BENCHMARK(BM_LabelCacheRepeat)->Arg(20000)->Arg(400000);
 /// Telemetry cost on the hottest loop in the repo: the fused OASIS step at
 /// K=1000, with the registry runtime switch range(0) = 0: off (the production
 /// default — one relaxed atomic load per instrumented site), 1: on (counters
-/// and gauges live), 2: on + detail (adds the per-step weight histogram).
-/// The gap between rows 0 and 1/2 is the whole price of enabling telemetry;
-/// main() derives `telemetry_overhead_pct` from it, and CI gates the enabled
-/// overhead at <= 2% (compiled out entirely under -DOASIS_TELEMETRY=OFF).
+/// and gauges live). The gap between rows 0 and 1 is the whole price of
+/// enabling telemetry; main() derives `telemetry_overhead_pct` from it, and
+/// CI gates the enabled overhead at <= 2% (compiled out entirely under
+/// -DOASIS_TELEMETRY=OFF).
 /// The threads:4 rows run one sampler per thread, all bumping the same
 /// process-wide counters — the shape of a 4-worker RunErrorCurve — and are
 /// gated against their own 4-thread off row.
@@ -667,21 +633,17 @@ void BM_TelemetryOverhead(benchmark::State& state) {
                      .ValueOrDie();
   // Every thread sets the same value before the start barrier of the timed
   // loop and resets it after the stop barrier.
-  telemetry::SetEnabled(mode >= 1);
-  telemetry::SetDetailEnabled(mode >= 2);
+  telemetry::SetEnabled(mode == 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sampler->Step().ok());
   }
   telemetry::SetEnabled(false);
-  telemetry::SetDetailEnabled(false);
   state.SetItemsProcessed(state.iterations());
   state.counters["telemetry_mode"] = benchmark::Counter(
       static_cast<double>(mode), benchmark::Counter::kAvgThreads);
-  state.SetLabel(mode == 0   ? "off"
-                 : mode == 1 ? "on"
-                             : "on+detail");
+  state.SetLabel(mode == 0 ? "off" : "on");
 }
-BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1);
 BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1)->Threads(4)->UseRealTime();
 
 /// Known-truth scenario-pool generation (datagen/scenario.h): the fixed cost

@@ -8,9 +8,7 @@
 //
 //   1. per-query vs batched labelling for a static sampler — the round-trip
 //      economy of LabelCache::QueryBatch (and why OASIS cannot batch);
-//   2. async label prefetching (AsyncLabelPipeline) overlapping the remote
-//      fetch with the sampler's own work;
-//   3. RunErrorCurve with a cost model: error curves priced in simulated
+//   2. RunErrorCurve with a cost model: error curves priced in simulated
 //      hours and dollars, with and without cross-repeat label sharing.
 //
 // Build & run:  ./build/crowdsourced_evaluation
@@ -24,7 +22,6 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/oasis.h"
 #include "eval/confusion.h"
 #include "eval/measures.h"
@@ -135,35 +132,9 @@ int main() {
       static_cast<long long>(CrowdPlatform().max_items_per_round_trip));
 
   // ------------------------------------------------------------------------
-  // 2. Async prefetching: overlap the fetch with the sampler's own work.
+  // 2. Error curves priced in hours and dollars.
   // ------------------------------------------------------------------------
-  {
-    ThreadPool prefetch_pool(2);
-    RemoteOracle remote(&expert, CrowdPlatform());
-    LabelCache labels(&remote);
-    auto sampler_result =
-        ImportanceSampler::Create(&pool, &labels, ImportanceOptions{}, Rng(4));
-    if (!sampler_result.ok()) {
-      std::fprintf(stderr, "sampler creation failed: %s\n",
-                   sampler_result.status().ToString().c_str());
-      return 1;
-    }
-    auto sampler = std::move(sampler_result).ValueOrDie();
-    sampler->SetPrefetchPool(&prefetch_pool);
-    RunToBudget(*sampler, labels, 2000, 2000);
-    std::printf(
-        "2. with AsyncLabelPipeline prefetching, the same run fetches batch\n"
-        "   t+1 on a worker while batch t is tallied: F-hat = %.4f —\n"
-        "   bit-identical to the table above (tested in\n"
-        "   tests/async_label_pipeline_test.cc). The overlap hides a truly\n"
-        "   remote oracle's latency behind local work.\n\n",
-        sampler->Estimate().f_alpha);
-  }
-
-  // ------------------------------------------------------------------------
-  // 3. Error curves priced in hours and dollars.
-  // ------------------------------------------------------------------------
-  std::printf("3. error-vs-cost curves (Passive, 20 repeats, budget 1500):\n\n");
+  std::printf("2. error-vs-cost curves (Passive, 20 repeats, budget 1500):\n\n");
   experiments::RunnerOptions options;
   options.repeats = 20;
   options.trajectory.budget = 1500;

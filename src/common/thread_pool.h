@@ -112,8 +112,8 @@ class ThreadPool {
   /// `fn` are captured and rethrown from Wait().
   ///
   /// This is the single-task sibling of ParallelFor, intended for
-  /// producer/consumer pipelining (e.g. prefetching the next oracle label
-  /// batch while the caller consumes the current one) rather than data
+  /// fire-and-collect background work (e.g. the session server's queued
+  /// label requests, SessionManager::AdvanceAsync) rather than data
   /// parallelism.
   TaskHandle Submit(std::function<void()> fn);
 

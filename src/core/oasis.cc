@@ -17,23 +17,13 @@ namespace oasis {
 
 namespace {
 
-/// Per-step bookkeeping shared by every step path. The step counter is
-/// always cheap; the weight histogram is detail-only (an extra bucket search
-/// per step would be measurable on the fused path).
-inline void RecordOasisStepTelemetry(double weight) {
+/// Per-step bookkeeping shared by every step path: one counter bump.
+inline void RecordOasisStepTelemetry() {
   if (!OASIS_TELEMETRY_ON) return;
   static telemetry::Counter& steps = telemetry::DefaultRegistry().AddCounter(
       "oasis_sampler_steps_total",
       "Sampler steps taken (one oracle draw each), across all paths.");
   steps.Increment();
-  if (OASIS_TELEMETRY_DETAIL_ON) {
-    static telemetry::Histogram& weights =
-        telemetry::DefaultRegistry().AddHistogram(
-            "oasis_sampler_weight",
-            "Importance weight of each step (detail mode only).",
-            {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0});
-    weights.Observe(weight);
-  }
 }
 
 }  // namespace
@@ -271,7 +261,7 @@ Status OasisSampler::Observe(size_t stratum, int64_t item, double weight) {
   estimator_.Add(weight, label, prediction);
   if (observer_) observer_(weight, label, prediction);
   monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
+  RecordOasisStepTelemetry();
   return Status::OK();
 }
 

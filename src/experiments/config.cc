@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/number_format.h"
@@ -70,6 +71,18 @@ Result<int64_t> ToInt64(std::string_view key, std::string_view raw) {
   const std::optional<int64_t> value = ParseInt64(raw);
   if (!value) return NotAn("an integer", key, raw);
   return *value;
+}
+
+/// `value` narrowed to int, or InvalidArgument naming `what` (a config key
+/// or a command-line option) when it lies outside int's range: the one
+/// checked narrowing behind every int setting, so none wraps silently.
+Result<int> ToInt(const std::string& what, int64_t value) {
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(what + " is outside int's range: " +
+                                   std::to_string(value));
+  }
+  return static_cast<int>(value);
 }
 
 Result<double> ToDouble(std::string_view key, std::string_view raw) {
@@ -238,6 +251,11 @@ Result<int64_t> ConfigMap::GetInt64Or(std::string_view key,
   return ToInt64(key, *raw);
 }
 
+Result<int> ConfigMap::GetIntOr(std::string_view key, int fallback) const {
+  OASIS_ASSIGN_OR_RETURN(const int64_t value, GetInt64Or(key, fallback));
+  return ToInt("ConfigMap: key " + Quoted(key), value);
+}
+
 Result<double> ConfigMap::GetDouble(std::string_view key) const {
   OASIS_ASSIGN_OR_RETURN(const std::string_view raw, ReadRequired(key));
   return ToDouble(key, raw);
@@ -398,8 +416,8 @@ Result<CommonFlags> ParseCommonFlags(const CommandLine& args) {
         "--heartbeat wants a positive number of seconds");
   }
   if (args.HasFlag("threads")) {
-    OASIS_ASSIGN_OR_RETURN(const int64_t threads,
-                           args.FlagInt64Or("threads", 0));
+    OASIS_ASSIGN_OR_RETURN(const int64_t wide, args.FlagInt64Or("threads", 0));
+    OASIS_ASSIGN_OR_RETURN(const int threads, ToInt("option '--threads'", wide));
     if (threads < 0) {
       return Status::InvalidArgument("--threads must be >= 0 (0 = hardware "
                                      "concurrency)");

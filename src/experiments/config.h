@@ -52,6 +52,10 @@ class ConfigMap {
   /// Integer value with a default for absent keys (parse errors still fail).
   Result<int64_t> GetInt64Or(std::string_view key, int64_t fallback) const;
 
+  /// GetInt64Or for settings held as `int`: a value outside int's range
+  /// fails with InvalidArgument naming the key instead of wrapping.
+  Result<int> GetIntOr(std::string_view key, int fallback) const;
+
   /// The value parsed as double (ParseDouble); fails on absence or on a
   /// value ParseDouble rejects.
   Result<double> GetDouble(std::string_view key) const;
@@ -208,14 +212,14 @@ struct CommonFlags {
   std::string trace_out;          ///< Empty = no trace file.
   double heartbeat_seconds = 0;   ///< 0 = no heartbeat.
   /// Set when --threads was given; apps fold it over their config value.
-  std::optional<int64_t> threads;
+  std::optional<int> threads;
   /// Set when --seed was given; apps fold it over their config value.
   std::optional<uint64_t> seed;
 };
 
 /// Parses the common flags out of `args`, validating each (--heartbeat > 0,
-/// --threads >= 0, and --no-telemetry contradicting the output flags). Apps
-/// consume their own extra flags before or after, then run
+/// --threads in [0, INT_MAX], and --no-telemetry contradicting the output
+/// flags). Apps consume their own extra flags before or after, then run
 /// args.CheckAllFlagsUsed() so the typo guard covers both sets.
 Result<CommonFlags> ParseCommonFlags(const CommandLine& args);
 

@@ -188,9 +188,8 @@ Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
   if (retry) {
     RetryPolicy rp;
     OASIS_ASSIGN_OR_RETURN(
-        const int64_t max_attempts,
-        config.GetInt64Or(prefix + "retry_max_attempts", rp.max_attempts));
-    rp.max_attempts = static_cast<int>(max_attempts);
+        rp.max_attempts,
+        config.GetIntOr(prefix + "retry_max_attempts", rp.max_attempts));
     OASIS_ASSIGN_OR_RETURN(
         rp.initial_backoff_seconds,
         config.GetDoubleOr(prefix + "retry_initial_backoff_seconds",
@@ -221,10 +220,9 @@ Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
         config.GetDoubleOr(prefix + "retry_overall_deadline_seconds",
                            rp.overall_deadline_seconds));
     OASIS_ASSIGN_OR_RETURN(
-        const int64_t breaker_threshold,
-        config.GetInt64Or(prefix + "retry_breaker_threshold",
-                          rp.breaker_failure_threshold));
-    rp.breaker_failure_threshold = static_cast<int>(breaker_threshold);
+        rp.breaker_failure_threshold,
+        config.GetIntOr(prefix + "retry_breaker_threshold",
+                        rp.breaker_failure_threshold));
     OASIS_ASSIGN_OR_RETURN(
         rp.breaker_cooldown_calls,
         config.GetInt64Or(prefix + "retry_breaker_cooldown_calls",

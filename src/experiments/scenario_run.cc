@@ -65,16 +65,14 @@ Result<ScenarioRunOptions> ScenarioRunOptions::FromConfig(
   OASIS_ASSIGN_OR_RETURN(
       options.checkpoint_every,
       config.GetInt64Or("checkpoint_every", options.checkpoint_every));
-  OASIS_ASSIGN_OR_RETURN(const int64_t repeats,
-                         config.GetInt64Or("repeats", options.repeats));
-  options.repeats = static_cast<int>(repeats);
+  OASIS_ASSIGN_OR_RETURN(options.repeats,
+                         config.GetIntOr("repeats", options.repeats));
   OASIS_ASSIGN_OR_RETURN(
       const int64_t seed,
       config.GetInt64Or("run_seed", static_cast<int64_t>(options.seed)));
   options.seed = static_cast<uint64_t>(seed);
-  OASIS_ASSIGN_OR_RETURN(const int64_t threads,
-                         config.GetInt64Or("threads", options.num_threads));
-  options.num_threads = static_cast<int>(threads);
+  OASIS_ASSIGN_OR_RETURN(options.num_threads,
+                         config.GetIntOr("threads", options.num_threads));
   OASIS_ASSIGN_OR_RETURN(options.target_strata,
                          config.GetInt64Or("strata", options.target_strata));
   options.step_path = config.GetStringOr("step_path", options.step_path);

@@ -1,9 +1,7 @@
 #include "oracle/remote_oracle.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
@@ -86,8 +84,8 @@ int64_t RemoteOracle::TripLatencyNs(std::span<const int64_t> trip) const {
   return static_cast<int64_t>(std::llround(seconds * 1e9));
 }
 
-int64_t RemoteOracle::AccountFetch(std::span<const int64_t> fetched) const {
-  if (fetched.empty()) return 0;
+void RemoteOracle::AccountFetch(std::span<const int64_t> fetched) const {
+  if (fetched.empty()) return;
   const int64_t n = static_cast<int64_t>(fetched.size());
   const int64_t per_trip = options_.max_items_per_round_trip > 0
                                ? options_.max_items_per_round_trip
@@ -109,15 +107,6 @@ int64_t RemoteOracle::AccountFetch(std::span<const int64_t> fetched) const {
     metrics.labels_fetched.Add(n);
     metrics.latency_ns.Add(latency_ns);
   }
-  return latency_ns;
-}
-
-void RemoteOracle::MaybeRealize(int64_t latency_ns) const {
-  if (!options_.realize_latency || latency_ns <= 0) return;
-  const double scaled_ns =
-      static_cast<double>(latency_ns) * options_.realize_scale;
-  std::this_thread::sleep_for(
-      std::chrono::nanoseconds(static_cast<int64_t>(scaled_ns)));
 }
 
 bool RemoteOracle::Label(int64_t item, Rng& rng) const {
@@ -134,7 +123,7 @@ void RemoteOracle::LabelBatch(std::span<const int64_t> items, Rng& rng,
   queries_.fetch_add(static_cast<int64_t>(items.size()),
                      std::memory_order_relaxed);
   if (store_ == nullptr) {
-    MaybeRealize(AccountFetch(items));
+    AccountFetch(items);
     inner_->LabelBatch(items, rng, out);
     return;
   }
@@ -142,18 +131,14 @@ void RemoteOracle::LabelBatch(std::span<const int64_t> items, Rng& rng,
   // is a free replay. The store holds its lock across the fetch, so each
   // item is fetched exactly once however many repeats race for it. The inner
   // oracle is RNG-free here (store gate), so the fetch never consumes `rng`
-  // and the caller's stream is identical with or without the store. Any
-  // realized sleep happens after the store released its lock — a sleeping
-  // repeat must not serialise every other repeat's fetch behind it.
-  int64_t fetched_latency_ns = 0;
+  // and the caller's stream is identical with or without the store.
   const int64_t hits = store_->FetchThrough(
       items, out, [&](std::span<const int64_t> novel, std::span<uint8_t> novel_out) {
-        fetched_latency_ns = AccountFetch(novel);
+        AccountFetch(novel);
         inner_->LabelBatch(novel, rng, novel_out);
       });
   store_hits_.fetch_add(hits, std::memory_order_relaxed);
   if (OASIS_TELEMETRY_ON) Metrics().store_hits.Add(hits);
-  MaybeRealize(fetched_latency_ns);
 }
 
 Status RemoteOracle::TryLabelBatch(std::span<const int64_t> items, Rng& rng,
@@ -190,7 +175,6 @@ Status RemoteOracle::TryLabelBatch(std::span<const int64_t> items, Rng& rng,
       metrics.round_trips.Increment();
       metrics.latency_ns.Add(latency_ns);
     }
-    MaybeRealize(latency_ns);
     const Status status = inner_->TryLabelBatch(
         trip, rng, out.subspan(trip_lo, trip_len),
         resolved.subspan(trip_lo, trip_len));
@@ -210,7 +194,6 @@ bool RemoteOracle::fallible() const { return inner_->fallible(); }
 void RemoteOracle::ChargeAuxiliaryLatencyNs(int64_t ns) const {
   if (ns <= 0) return;
   simulated_latency_ns_.fetch_add(ns, std::memory_order_relaxed);
-  MaybeRealize(ns);
 }
 
 double RemoteOracle::TrueProbability(int64_t item) const {

@@ -12,9 +12,8 @@ namespace oasis {
 
 /// Latency/cost model of a remote labelling service (a crowdsourcing
 /// platform, an expert-review queue, a paid labelling API). All times are
-/// *simulated* — nothing sleeps unless `realize_latency` is set — so
-/// experiments can price label-acquisition strategies without waiting for
-/// them.
+/// *simulated* — nothing ever sleeps — so experiments can price
+/// label-acquisition strategies without waiting for them.
 struct RemoteOracleOptions {
   /// Fixed latency charged per round trip, independent of batch size: task
   /// posting, network, annotator pickup (seconds).
@@ -43,15 +42,6 @@ struct RemoteOracleOptions {
   /// task-page size); a larger batch is split into ceil(n / max) trips.
   /// 0 means unbounded (every LabelBatch call is one trip).
   int64_t max_items_per_round_trip = 0;
-
-  /// When true, Label/LabelBatch really block for the simulated latency
-  /// (scaled by realize_scale) — for demos and wall-clock experiments with
-  /// the async pipeline. Never enable in unit tests or benches that loop.
-  bool realize_latency = false;
-
-  /// Scale applied to realized sleeps (e.g. 1e-4 turns a 30 s simulated trip
-  /// into a 3 ms real one). Ignored unless realize_latency.
-  double realize_scale = 1.0;
 };
 
 /// Point-in-time snapshot of a RemoteOracle's accounting (see
@@ -88,7 +78,8 @@ struct RemoteOracleStats {
 /// labels are delegated verbatim to the wrapped oracle (same values, same RNG
 /// stream — a RemoteOracle-wrapped run is bit-identical to an unwrapped one),
 /// while every query is priced under a deterministic latency/cost model and
-/// accounted per round trip.
+/// accounted per round trip. Latency is always simulated: the decorator
+/// adds to its clock and never blocks the caller.
 ///
 /// This is the repo's model of the paper's core premise — oracle labels are
 /// the scarce resource (Definition 4; Sec. 1) — made quantitative: with it,
@@ -167,8 +158,7 @@ class RemoteOracle : public Oracle {
   bool deterministic() const override;
 
   /// Forwards the wrapped oracle's RNG discipline, so the samplers' batched
-  /// fast paths (and the async pipeline's soundness gate) are unchanged by
-  /// wrapping.
+  /// fast paths are unchanged by wrapping.
   bool labelling_consumes_rng() const override;
 
   /// The wrapped oracle's item count.
@@ -203,13 +193,8 @@ class RemoteOracle : public Oracle {
 
  private:
   /// Accounts the wire activity of fetching `fetched` in
-  /// max_items_per_round_trip-sized trips; returns the simulated latency it
-  /// added (the caller realizes it, outside any store lock).
-  int64_t AccountFetch(std::span<const int64_t> fetched) const;
-
-  /// Sleeps for the scaled latency when realize_latency is on. Must never be
-  /// called while holding the SharedLabelStore's lock.
-  void MaybeRealize(int64_t latency_ns) const;
+  /// max_items_per_round_trip-sized trips.
+  void AccountFetch(std::span<const int64_t> fetched) const;
 
   const Oracle* inner_;
   RemoteOracleOptions options_;

@@ -9,7 +9,6 @@
 
 #include "common/random.h"
 #include "common/status.h"
-#include "oracle/async_label_pipeline.h"
 #include "oracle/label_cache.h"
 
 namespace oasis {
@@ -94,21 +93,6 @@ class Sampler {
     return nullptr;
   }
 
-  /// Enables asynchronous label prefetching on `pool` for the batched
-  /// StepBatch fast path: while one chunk's observations are tallied, the
-  /// next chunk's labels resolve on a pool worker (AsyncLabelPipeline), so a
-  /// remote oracle's round trip overlaps the sampler's own work. Exact
-  /// sequential equivalence is preserved — same RNG stream, labels, budget
-  /// counters and estimates as without prefetching (it is tested).
-  ///
-  /// Only engages where it is sound and useful: samplers with static
-  /// proposals (passive / importance / stratified) on RNG-free oracles, and
-  /// only for StepBatch calls spanning more than one internal chunk. OASIS
-  /// ignores it — its next draw depends on the last label, so it is
-  /// label-sequential by design (see docs/ORACLES.md). `pool` must outlive
-  /// the sampler; nullptr disables prefetching again.
-  void SetPrefetchPool(ThreadPool* pool) { prefetch_pool_ = pool; }
-
   /// Labels charged to the budget so far.
   int64_t labels_consumed() const { return labels_->labels_consumed(); }
 
@@ -160,10 +144,8 @@ class Sampler {
   /// `draw(i)` returns the item for position i (and may record side state,
   /// e.g. the stratum it drew); `tally(i, item, label)` folds the resolved
   /// observation into the estimator. Positions are always
-  /// < 2 * kQueryBatchChunk — the prefetching variant below double-buffers
-  /// chunks, giving consecutive chunks disjoint position ranges — so
-  /// draw-side scratch indexed by position must be sized for two chunks. A
-  /// position is never reused before its tally ran.
+  /// < kQueryBatchChunk, so draw-side scratch indexed by position needs one
+  /// chunk. A position is never reused before its tally ran.
   ///
   /// When !CanBatchQueries() (labelling consumes the RNG) every iteration
   /// runs draw(0), QueryLabel, tally(0, ...) in turn: the exact sequential
@@ -176,13 +158,6 @@ class Sampler {
   /// RNG-free, so this is the identical item/label/counter sequence as `n`
   /// sequential Step() calls. Scratch buffers are reused, so steady-state
   /// batches do not allocate.
-  ///
-  /// With a prefetch pool set (SetPrefetchPool) and more than one chunk of
-  /// work, chunks are pipelined through an AsyncLabelPipeline: chunk t+1's
-  /// QueryBatch resolves on a pool worker while chunk t is tallied (and
-  /// t+2 is drawn). All draws stay on the calling thread in step order and
-  /// QueryBatch calls stay strictly sequenced, so the RNG stream, labels and
-  /// budget counters are bit-identical to the unpipelined path.
   ///
   /// Forced inline into the one caller, each sampler's StepBatch, where the
   /// draw/tally closures stay in registers. Left to the compiler, StepBatch
@@ -202,20 +177,17 @@ class Sampler {
       }
       return Status::OK();
     }
-    if (prefetch_pool_ != nullptr && n > kQueryBatchChunk) {
-      return BatchedStepsPipelined(n, draw, tally);
-    }
     for (int64_t done = 0; done < n;) {
       const int64_t chunk = std::min(kQueryBatchChunk, n - done);
-      batch_items_[0].resize(static_cast<size_t>(chunk));
-      batch_labels_[0].resize(static_cast<size_t>(chunk));
+      batch_items_.resize(static_cast<size_t>(chunk));
+      batch_labels_.resize(static_cast<size_t>(chunk));
       for (int64_t i = 0; i < chunk; ++i) {
-        batch_items_[0][static_cast<size_t>(i)] = draw(i);
+        batch_items_[static_cast<size_t>(i)] = draw(i);
       }
-      OASIS_RETURN_NOT_OK(QueryLabels(batch_items_[0], batch_labels_[0]));
+      OASIS_RETURN_NOT_OK(QueryLabels(batch_items_, batch_labels_));
       for (int64_t i = 0; i < chunk; ++i) {
-        tally(i, batch_items_[0][static_cast<size_t>(i)],
-              batch_labels_[0][static_cast<size_t>(i)] != 0);
+        tally(i, batch_items_[static_cast<size_t>(i)],
+              batch_labels_[static_cast<size_t>(i)] != 0);
       }
       done += chunk;
     }
@@ -225,64 +197,13 @@ class Sampler {
   Rng& rng() { return rng_; }
 
  private:
-  /// Double-buffered, depth-1-pipelined variant of the scaffold above.
-  /// Chunk c lives in buffer parity c & 1 with draw/tally positions offset
-  /// by parity * kQueryBatchChunk. Per loop turn: draw chunk c, wait for
-  /// chunk c-1's labels, hand chunk c to the pipeline, tally chunk c-1 while
-  /// the worker resolves chunk c.
-  template <typename DrawFn, typename TallyFn>
-  Status BatchedStepsPipelined(int64_t n, DrawFn&& draw, TallyFn&& tally) {
-    AsyncLabelPipeline pipeline(labels_, prefetch_pool_);
-    int prev = -1;
-    int64_t prev_len = 0;
-    int parity = 0;
-    for (int64_t done = 0; done < n; done += kQueryBatchChunk, parity ^= 1) {
-      const int64_t chunk = std::min(kQueryBatchChunk, n - done);
-      std::vector<int64_t>& items = batch_items_[parity];
-      std::vector<uint8_t>& labels = batch_labels_[parity];
-      items.resize(static_cast<size_t>(chunk));
-      labels.resize(static_cast<size_t>(chunk));
-      const int64_t base = static_cast<int64_t>(parity) * kQueryBatchChunk;
-      for (int64_t i = 0; i < chunk; ++i) {
-        items[static_cast<size_t>(i)] = draw(base + i);
-      }
-      // Collect-before-prefetch keeps the (single-threaded) LabelCache's
-      // QueryBatch calls strictly sequenced in chunk order. Iterations are
-      // credited only once a chunk's labels actually arrived, so a failed
-      // chunk (fallible oracle stack) is never counted as sampled.
-      if (prev >= 0) {
-        OASIS_RETURN_NOT_OK(pipeline.Collect());
-        iterations_ += prev_len;
-      }
-      OASIS_RETURN_NOT_OK(pipeline.Prefetch(items, &rng_, labels));
-      if (prev >= 0) {
-        const int64_t prev_base = static_cast<int64_t>(prev) * kQueryBatchChunk;
-        for (int64_t i = 0; i < prev_len; ++i) {
-          tally(prev_base + i, batch_items_[prev][static_cast<size_t>(i)],
-                batch_labels_[prev][static_cast<size_t>(i)] != 0);
-        }
-      }
-      prev = parity;
-      prev_len = chunk;
-    }
-    OASIS_RETURN_NOT_OK(pipeline.Collect());
-    iterations_ += prev_len;
-    const int64_t prev_base = static_cast<int64_t>(prev) * kQueryBatchChunk;
-    for (int64_t i = 0; i < prev_len; ++i) {
-      tally(prev_base + i, batch_items_[prev][static_cast<size_t>(i)],
-            batch_labels_[prev][static_cast<size_t>(i)] != 0);
-    }
-    return Status::OK();
-  }
-
   const ScoredPool* pool_;
   LabelCache* labels_;
   double alpha_;
   Rng rng_;
-  ThreadPool* prefetch_pool_ = nullptr;
   int64_t iterations_ = 0;
-  std::vector<int64_t> batch_items_[2];
-  std::vector<uint8_t> batch_labels_[2];
+  std::vector<int64_t> batch_items_;
+  std::vector<uint8_t> batch_labels_;
 };
 
 }  // namespace oasis

@@ -42,13 +42,12 @@ Status StratifiedSampler::Step() { return StepBatch(1); }
 Status StratifiedSampler::StepBatch(int64_t n) {
   // Proportional allocation: stratum ~ omega, item ~ Uniform(P_k). It never
   // depends on observed labels, so BatchedSteps may pre-draw a chunk; the
-  // draw records each position's stratum for the tally. Two chunks of
-  // scratch: the pipelined scaffold double-buffers positions (and the
-  // sequential path uses position 0).
+  // draw records each position's stratum for the tally. One chunk of
+  // scratch (the sequential path uses position 0).
   const std::vector<double>& omega = strata_->weights();
   const uint8_t* predictions = pool().predictions.data();
   batch_strata_.resize(
-      static_cast<size_t>(std::clamp<int64_t>(n, 0, 2 * kQueryBatchChunk)));
+      static_cast<size_t>(std::clamp<int64_t>(n, 0, kQueryBatchChunk)));
   return BatchedSteps(
       n,
       [&](int64_t i) {

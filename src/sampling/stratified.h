@@ -46,8 +46,7 @@ class StratifiedSampler : public Sampler {
   // Known exactly from the pool: per-stratum mean prediction lambda_k.
   std::vector<double> lambda_;
   // Scratch: stratum index per StepBatch draw position (the base class holds
-  // the item/label scratch), reused across batches; sized for two chunks so
-  // the pipelined scaffold's double-buffered positions fit.
+  // the item/label scratch), reused across batches; one chunk long.
   std::vector<size_t> batch_strata_;
 };
 

@@ -5,7 +5,6 @@ namespace telemetry {
 namespace internal {
 
 std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_detail_enabled{false};
 
 }  // namespace internal
 }  // namespace telemetry

@@ -20,9 +20,6 @@ namespace internal {
 /// a build that never calls SetEnabled(true) pays one relaxed atomic load
 /// per instrumentation site and nothing else.
 extern std::atomic<bool> g_enabled;
-/// The detail switch backing DetailEnabled() (per-step histograms and other
-/// high-frequency observations that are too hot for the default level).
-extern std::atomic<bool> g_detail_enabled;
 }  // namespace internal
 
 /// Whether telemetry collection is on. All instrumentation sites check this
@@ -38,17 +35,6 @@ inline bool Enabled() {
 /// (telemetry is observe-only).
 inline void SetEnabled(bool enabled) {
   internal::g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-/// Whether high-frequency detail observations (e.g. the per-step importance
-/// weight histogram) are on. Only consulted when Enabled() is already true.
-inline bool DetailEnabled() {
-  return internal::g_detail_enabled.load(std::memory_order_relaxed);
-}
-
-/// Turns detail observations on or off (see DetailEnabled()).
-inline void SetDetailEnabled(bool enabled) {
-  internal::g_detail_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 /// RAII toggle of the runtime kill switch: enables (or disables) telemetry

@@ -26,8 +26,6 @@
 
 /// Compile-time-off build: instrumentation blocks are dead code.
 #define OASIS_TELEMETRY_ON false
-/// Compile-time-off build: detail observations are dead code.
-#define OASIS_TELEMETRY_DETAIL_ON false
 /// Compile-time-off build: spans expand to nothing.
 #define TELEMETRY_SPAN(name, category) \
   do {                                 \
@@ -37,9 +35,6 @@
 
 /// Whether telemetry is collecting right now (runtime kill switch).
 #define OASIS_TELEMETRY_ON (::oasis::telemetry::Enabled())
-/// Whether high-frequency detail observations are on (implies the above at
-/// every call site: sites check OASIS_TELEMETRY_ON first).
-#define OASIS_TELEMETRY_DETAIL_ON (::oasis::telemetry::DetailEnabled())
 
 #define OASIS_TELEMETRY_CONCAT_INNER(a, b) a##b
 #define OASIS_TELEMETRY_CONCAT(a, b) OASIS_TELEMETRY_CONCAT_INNER(a, b)

@@ -82,6 +82,47 @@ TEST(ConfigMapTest, TypedGettersWithDefaults) {
   EXPECT_FALSE(bad.GetInt64Or("n", 3).ok());
 }
 
+// Settings held as int never wrap: GetIntOr and --threads accept the whole
+// int range and reject anything past it with an error naming the setting.
+TEST(ConfigMapTest, IntSettingsRejectValuesOutsideIntRange) {
+  auto config = ConfigMap::Parse(
+                    "max = 2147483647\n"
+                    "min = -2147483648\n"
+                    "above = 2147483648\n"
+                    "below = -2147483649\n"
+                    "wraps_to_one = 4294967297\n")
+                    .ValueOrDie();
+  EXPECT_EQ(config.GetIntOr("max", 0).ValueOrDie(), 2147483647);
+  EXPECT_EQ(config.GetIntOr("min", 0).ValueOrDie(), -2147483647 - 1);
+  EXPECT_EQ(config.GetIntOr("absent", 9).ValueOrDie(), 9);
+  for (const char* key : {"above", "below", "wraps_to_one"}) {
+    const Result<int> value = config.GetIntOr(key, 1);
+    ASSERT_FALSE(value.ok()) << key;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(value.status().message().find(std::string("'") + key + "'"),
+              std::string::npos)
+        << value.status().message();
+  }
+  EXPECT_EQ(config.GetIntOr("wraps_to_one", 1).status().message(),
+            "ConfigMap: key 'wraps_to_one' is outside int's range: "
+            "4294967297");
+
+  // --threads is only parsed here, never used to start a pool.
+  const auto parse_threads = [](const std::string& value) {
+    std::string arg = "--threads=" + value;
+    char app[] = "oasis_run";
+    char* argv[] = {app, arg.data()};
+    return ParseCommonFlags(CommandLine::Parse(2, argv).ValueOrDie());
+  };
+  EXPECT_EQ(*parse_threads("2147483647").ValueOrDie().threads, 2147483647);
+  for (const char* value : {"2147483648", "-2147483649", "4294967297"}) {
+    const Result<CommonFlags> flags = parse_threads(value);
+    ASSERT_FALSE(flags.ok()) << value;
+    EXPECT_NE(flags.status().message().find("'--threads'"), std::string::npos)
+        << flags.status().message();
+  }
+}
+
 TEST(ConfigMapTest, BoolSpellings) {
   auto config = ConfigMap::Parse(
                     "a = true\nb = FALSE\nc = 1\nd = 0\n")

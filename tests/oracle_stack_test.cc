@@ -179,15 +179,16 @@ Result<OracleStack> BuildFromConfig(const std::string& text,
                                     const Oracle& base) {
   const experiments::ConfigMap config =
       experiments::ConfigMap::Parse(text).ValueOrDie();
-  return OracleStackBuilder(
-             experiments::StackSpecFromConfig(config, "stack_").ValueOrDie())
-      .Build(&base);
+  OASIS_ASSIGN_OR_RETURN(const StackSpec spec,
+                         experiments::StackSpecFromConfig(config, "stack_"));
+  return OracleStackBuilder(spec).Build(&base);
 }
 
 // Every option the three decorators' constructors check, set out of range
 // (and to NaN where it is a double) through its config key: Build returns
 // InvalidArgument naming that key instead of aborting, and the boundary
-// values on the valid side still build.
+// values on the valid side still build. The int options also reject values
+// past int's range at parse (4294967297 = 2^32 + 1 would wrap to 1).
 TEST(OracleStackBuilder, RejectsEveryOutOfRangeOptionByName) {
   const testutil::SyntheticPool pool = SmallPool();
   GroundTruthOracle base(pool.truth);
@@ -210,6 +211,12 @@ TEST(OracleStackBuilder, RejectsEveryOutOfRangeOptionByName) {
       {"stack_remote_jitter_fraction", {"-0.25", "1", "nan"}, "0"},
       {"stack_remote_max_items_per_trip", {"-1"}, "0"},
       {"stack_retry_max_attempts", {"0", "-3"}, "1"},
+      {"stack_retry_max_attempts",
+       {"2147483648", "-2147483649", "4294967297"},
+       "2147483647"},
+      {"stack_retry_breaker_threshold",
+       {"2147483648", "-2147483649", "4294967297"},
+       "2147483647"},
       {"stack_retry_initial_backoff_seconds", {"-1", "nan"}, "0"},
       {"stack_retry_backoff_multiplier", {"0.5", "nan"}, "1"},
       {"stack_retry_max_backoff_seconds", {"-1", "nan"}, "0"},

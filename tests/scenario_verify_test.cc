@@ -9,6 +9,7 @@
 #include <string>
 
 #include "datagen/scenario.h"
+#include "experiments/config.h"
 #include "experiments/scenario_run.h"
 #include "experiments/summary.h"
 #include "experiments/verify.h"
@@ -251,6 +252,31 @@ TEST(ScenarioVerifyTest, UnknownStepPathIsRejectedByValidation) {
   for (const char* accepted : {"fused", "fenwick"}) {
     options.step_path = accepted;
     EXPECT_TRUE(options.Validate().ok()) << accepted;
+  }
+}
+
+// repeats and threads are int settings: the whole int range parses (INT_MAX
+// is only parsed, never run), and a value past it is rejected by name
+// instead of wrapping (4294967297 = 2^32 + 1 would wrap to one repeat).
+TEST(ScenarioVerifyTest, IntSettingsOutsideIntRangeAreRejectedByName) {
+  for (const char* key : {"repeats", "threads"}) {
+    SCOPED_TRACE(key);
+    const auto from = [key](const std::string& value) {
+      return ScenarioRunOptions::FromConfig(
+          ConfigMap::Parse(std::string(key) + " = " + value + "\n")
+              .ValueOrDie());
+    };
+    const ScenarioRunOptions max = from("2147483647").ValueOrDie();
+    EXPECT_EQ(std::string(key) == "repeats" ? max.repeats : max.num_threads,
+              2147483647);
+    for (const char* value : {"2147483648", "-2147483649", "4294967297"}) {
+      const Result<ScenarioRunOptions> options = from(value);
+      ASSERT_FALSE(options.ok()) << value;
+      EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(options.status().message().find(std::string("'") + key + "'"),
+                std::string::npos)
+          << options.status().message();
+    }
   }
 }
 

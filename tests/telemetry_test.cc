@@ -452,12 +452,10 @@ TEST(TelemetryDeterminismTest, ErrorCurveBitIdenticalWithTelemetryOnOrOff) {
             .ValueOrDie();
 
     options.telemetry.enable = true;
-    SetDetailEnabled(true);  // Exercise the per-step weight histogram too.
     const experiments::ErrorCurve instrumented =
         RunErrorCurve(experiments::MakeOasisSpec(OasisOptions{}, strata),
                       pool.scored, oracle, pool.true_measures.f_alpha, options)
             .ValueOrDie();
-    SetDetailEnabled(false);
 
     ASSERT_EQ(instrumented.budgets, reference.budgets) << threads;
     for (size_t i = 0; i < reference.budgets.size(); ++i) {

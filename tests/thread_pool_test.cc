@@ -233,8 +233,8 @@ TEST(ThreadPoolTest, QueuedSubmitsRunDuringPoolShutdown) {
 }
 
 TEST(ThreadPoolTest, SubmitOverlapsWithCallerWork) {
-  // Producer/consumer shape of the async label pipeline: the caller keeps
-  // working while the submitted task runs, then synchronises via Wait.
+  // Producer/consumer shape: the caller keeps working while the submitted
+  // task runs, then synchronises via Wait.
   ThreadPool pool(2);
   std::atomic<int64_t> background_sum{0};
   ThreadPool::TaskHandle handle = pool.Submit([&] {
